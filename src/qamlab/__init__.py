@@ -29,6 +29,7 @@ from .means import (
     SimpleFunctionMatrix,
     commutation_residual,
     lhs_mixed_mean,
+    mixed_means,
     qam,
     rhs_mixed_mean,
     scale_invariance_residual,
@@ -105,6 +106,7 @@ __all__ = [
     "jensen_affinity_residual",
     "lhs_mixed_mean",
     "linear_form_fit",
+    "mixed_means",
     "phi_equation_residual",
     "phi_eval",
     "phi_inverse_eval",

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DomainError, RangeError
@@ -28,26 +27,7 @@ from .phi_reduction import run_diagnostics
 from .suites import run_finite_measure_suite, run_probability_suite
 from .witness_search import GridSpec, Spacing, block_witness_search, full_witness_search
 
-__all__ = ["RunConfig", "dispatch", "main"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    f: str | None = None
-    g: str | None = None
-    space_x: str | None = None
-    space_y: str | None = None
-    h: str | None = None
-    grid: int = 21
-    value_range: tuple[float, float] = (0.1, 10.0)
-    spacing: str = "geometric"
-    tol: float = 1e-8
-    threshold: float = 1e-4
-    seed: int = 42
-    workers: int = 1
-    out: str | None = None
-    format: str = "json"
+__all__ = ["dispatch", "main"]
 
 
 def _load_json(path: str) -> dict:
@@ -65,22 +45,22 @@ def _load_space(path: str) -> DiscreteMeasureSpace:
     return DiscreteMeasureSpace.from_json(_load_json(path))
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
-    missing = [n for n in names if getattr(cfg, n) is None]
+def _require(args: argparse.Namespace, *names: str) -> None:
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
-        raise ValueError(f"{cfg.command} requires --{', --'.join(m.replace('_', '-') for m in missing)}")
+        raise ValueError(f"{args.command} requires --{', --'.join(m.replace('_', '-') for m in missing)}")
 
 
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_check(cfg: RunConfig) -> tuple[int, object]:
-    _require(cfg, "f", "g", "space_x", "space_y", "h")
-    f = _load_generator(cfg.f)
-    g = _load_generator(cfg.g)
-    grid = ProductGrid(_load_space(cfg.space_x), _load_space(cfg.space_y))
-    h = SimpleFunctionMatrix.from_json(_load_json(cfg.h))
+def _cmd_check(args: argparse.Namespace) -> tuple[int, object]:
+    _require(args, "f", "g", "space_x", "space_y", "h")
+    f = _load_generator(args.f)
+    g = _load_generator(args.g)
+    grid = ProductGrid(_load_space(args.space_x), _load_space(args.space_y))
+    h = SimpleFunctionMatrix.from_json(_load_json(args.h))
     if h.shape != grid.shape:
         raise ValueError(f"h has shape {h.shape} but the spaces give {grid.shape}")
     # values outside either domain are a malformed input, not a numeric failure
@@ -95,43 +75,43 @@ def _cmd_check(cfg: RunConfig) -> tuple[int, object]:
         "space_x": grid.space_x.to_json(),
         "space_y": grid.space_y.to_json(),
         "h": h.to_json(),
-        "tolerance": cfg.tol,
+        "tolerance": args.tol,
         **report.to_dict(),
-        "pass": report.passes(cfg.tol),
+        "pass": report.passes(args.tol),
     }
-    return (0 if report.passes(cfg.tol) else 1), doc
+    return (0 if report.passes(args.tol) else 1), doc
 
 
-def _cmd_witness(cfg: RunConfig) -> tuple[int, object]:
-    _require(cfg, "f", "g", "space_x", "space_y")
-    f = _load_generator(cfg.f)
-    g = _load_generator(cfg.g)
-    space_x = _load_space(cfg.space_x)
-    space_y = _load_space(cfg.space_y)
-    grid = GridSpec(cfg.grid, cfg.value_range, Spacing(cfg.spacing))
+def _cmd_witness(args: argparse.Namespace) -> tuple[int, object]:
+    _require(args, "f", "g", "space_x", "space_y")
+    f = _load_generator(args.f)
+    g = _load_generator(args.g)
+    space_x = _load_space(args.space_x)
+    space_y = _load_space(args.space_y)
+    grid = GridSpec(args.grid, args.value_range, Spacing(args.spacing))
     if len(space_x) == 2 and len(space_y) == 2:
         wx, wy = space_x.weights, space_y.weights
         witness = block_witness_search(
             f, g, float(wx[0]), float(wx[1]), float(wy[0]), float(wy[1]),
-            grid, cfg.threshold, workers=cfg.workers,
+            grid, args.threshold, workers=args.workers,
         )
     else:
         witness = full_witness_search(
             f, g, (len(space_x), len(space_y)), (space_x, space_y),
-            grid, cfg.threshold, workers=cfg.workers,
+            grid, args.threshold, workers=args.workers,
         )
     if witness is None:
         return 0, "none"
     return 1, witness.to_json_dict()
 
 
-def _cmd_suite(cfg: RunConfig) -> tuple[int, object]:
-    fm = run_finite_measure_suite(seed=cfg.seed, tol=cfg.tol)
-    pr = run_probability_suite(seed=cfg.seed, tol=cfg.tol)
+def _cmd_suite(args: argparse.Namespace) -> tuple[int, object]:
+    fm = run_finite_measure_suite(seed=args.seed, tol=args.tol)
+    pr = run_probability_suite(seed=args.seed, tol=args.tol)
     ok = fm.passed and pr.passed
     doc = {
         "command": "suite",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "summaries": [fm.summary(), pr.summary()],
         "rows": fm.rows + pr.rows,
         "pass": ok,
@@ -139,28 +119,28 @@ def _cmd_suite(cfg: RunConfig) -> tuple[int, object]:
     return (0 if ok else 1), doc
 
 
-def _cmd_phi(cfg: RunConfig) -> tuple[int, object]:
-    _require(cfg, "f", "g")
-    f = _load_generator(cfg.f)
-    g = _load_generator(cfg.g)
+def _cmd_phi(args: argparse.Namespace) -> tuple[int, object]:
+    _require(args, "f", "g")
+    f = _load_generator(args.f)
+    g = _load_generator(args.g)
     a1 = a2 = b1 = b2 = 1.0
-    if cfg.space_x is not None:
-        sx = _load_space(cfg.space_x)
+    if args.space_x is not None:
+        sx = _load_space(args.space_x)
         if len(sx) != 2:
             raise ValueError("phi diagnostics need a two-atom X space")
         a1, a2 = (float(w) for w in sx.weights)
-    if cfg.space_y is not None:
-        sy = _load_space(cfg.space_y)
+    if args.space_y is not None:
+        sy = _load_space(args.space_y)
         if len(sy) != 2:
             raise ValueError("phi diagnostics need a two-atom Y space")
         b1, b2 = (float(w) for w in sy.weights)
-    rows = run_diagnostics(f, g, a1, a2, b1, b2, tol=cfg.tol)
+    rows = run_diagnostics(f, g, a1, a2, b1, b2, tol=args.tol)
     doc = {
         "command": "phi",
         "f": f.to_json(),
         "g": g.to_json(),
         "masses": [a1, a2, b1, b2],
-        "tolerance": cfg.tol,
+        "tolerance": args.tol,
         "checks": rows,
     }
     return 0, doc
@@ -174,13 +154,13 @@ _COMMANDS = {
 }
 
 
-def dispatch(cfg: RunConfig) -> tuple[int, object]:
+def dispatch(args: argparse.Namespace) -> tuple[int, object]:
     """Run one configured command; returns (exit code, report document)."""
-    if cfg.command not in _COMMANDS:
-        raise ValueError(f"unknown command {cfg.command!r}")
-    if not cfg.tol > 0.0:
+    if args.command not in _COMMANDS:
+        raise ValueError(f"unknown command {args.command!r}")
+    if not args.tol > 0.0:
         raise ValueError("tolerance must be positive")
-    return _COMMANDS[cfg.command](cfg)
+    return _COMMANDS[args.command](args)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +191,16 @@ def _to_csv(doc: object) -> str:
     return buf.getvalue()
 
 
-def _write(doc: object, cfg: RunConfig) -> None:
+def _write(doc: object, args: argparse.Namespace) -> None:
     # witness documents are always JSON so reruns are byte-comparable
-    if cfg.format == "csv" and cfg.command != "witness":
+    if args.format == "csv" and args.command != "witness":
         text = _to_csv(doc)
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if cfg.out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(cfg.out).write_text(text)
+        Path(args.out).write_text(text)
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -267,24 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            f=args.f,
-            g=args.g,
-            space_x=args.space_x,
-            space_y=args.space_y,
-            h=args.h,
-            grid=args.grid,
-            value_range=_parse_range(args.value_range),
-            spacing=args.spacing,
-            tol=args.tol,
-            threshold=args.threshold,
-            seed=args.seed,
-            workers=args.workers,
-            out=args.out,
-            format=args.format,
-        )
-        code, doc = dispatch(cfg)
+        args.value_range = _parse_range(args.value_range)
+        code, doc = dispatch(args)
     except RangeError as exc:
         stage = f" [stage: {exc.stage}]" if exc.stage else ""
         print(f"range error: {exc}{stage}", file=sys.stderr)
@@ -292,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    _write(doc, cfg)
+    _write(doc, args)
     return code
 
 

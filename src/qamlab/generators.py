@@ -226,6 +226,23 @@ def _interior_seed(dom: Interval) -> float:
     return 0.0
 
 
+def _masked(raw, valid: Interval, x: np.ndarray) -> np.ndarray:
+    ok = valid.contains(x)
+    if np.all(ok):
+        return raw(x)
+    return np.where(ok, raw(np.where(ok, x, _interior_seed(valid))), np.nan)
+
+
+def masked_eval(gen: Generator, x: np.ndarray) -> np.ndarray:
+    """``gen._eval_raw`` with NaN, instead of an error, outside the domain."""
+    return _masked(gen._eval_raw, gen.domain, x)
+
+
+def masked_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
+    """``gen._inverse_raw`` with NaN, instead of an error, outside the range."""
+    return _masked(gen._inverse_raw, gen.codomain, y)
+
+
 def _bisect_inverse(gen: Generator, y: float) -> float:
     """Invert a strictly monotone generator by bracketing + bisection."""
     dom = gen.domain
@@ -373,34 +390,6 @@ def _scaled_interval(iv: Interval, a: float, b: float) -> Interval:
     return Interval(lo, hi, lo_open, hi_open)
 
 
-class ScaledGenerator(Generator):
-    """c * inner(x) with c > 0; preserves a positive-bijection range."""
-
-    def __init__(self, c: float, inner: Generator):
-        c = float(c)
-        if not (c > 0.0) or not math.isfinite(c):
-            raise ValueError("scale factor must be a finite positive real")
-        self.c = c
-        self.inner = inner
-        self.domain = inner.domain
-        self.codomain = _scaled_interval(inner.codomain, c, 0.0)
-        self.increasing = inner.increasing
-
-    def _eval_raw(self, x):
-        return self.c * self.inner._eval_raw(x)
-
-    def _inverse_raw(self, y):
-        return self.inner._inverse_raw(np.asarray(y, dtype=float) / self.c)
-
-    def describe(self) -> str:
-        return f"{self.c:g}*{self.inner.describe()}"
-
-    def to_json(self) -> dict:
-        doc = self.inner.to_json()
-        doc["scale"] = self.c
-        return doc
-
-
 class AffineGenerator(Generator):
     """a * inner(x) + b with a != 0.
 
@@ -432,6 +421,24 @@ class AffineGenerator(Generator):
     def to_json(self) -> dict:
         doc = self.inner.to_json()
         doc["affine"] = {"a": self.a, "b": self.b}
+        return doc
+
+
+class ScaledGenerator(AffineGenerator):
+    """c * inner(x) with c > 0: affine with b = 0; keeps a positive-bijection range."""
+
+    def __init__(self, c: float, inner: Generator):
+        c = float(c)
+        if not (c > 0.0) or not math.isfinite(c):
+            raise ValueError("scale factor must be a finite positive real")
+        super().__init__(c, 0.0, inner)
+
+    def describe(self) -> str:
+        return f"{self.a:g}*{self.inner.describe()}"
+
+    def to_json(self) -> dict:
+        doc = self.inner.to_json()
+        doc["scale"] = self.a
         return doc
 
 

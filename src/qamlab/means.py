@@ -7,12 +7,24 @@ over X with generator f, or the other way round.  Whether the two agree
 for every simple h is exactly the commutation question this package
 studies; here both sides are evaluated and the disagreement reported.
 
+Both sides come from one kernel, ``mixed_means``, which evaluates a batch
+of simple functions H[..., m, n] at once: the lhs is the f-mean over X of
+the g-means over Y, and the rhs is the same nested mean computed with
+(g, f, wy, wx, H^T).  H^T is copied into a contiguous array, so every
+integral sums a contiguous last axis in the order of
+``DiscreteMeasureSpace.integrate`` and the kernel agrees bit for bit with
+nested ``qam`` calls.  The witness searches feed it whole batches;
+``lhs_mixed_mean``, ``rhs_mixed_mean`` and ``commutation_residual`` are
+batches of one.
+
 Note that without unit total mass the mean is not internal: for weights
 (1, 2) and exp, the constant function 0 has mean ln(3), not 0.  Outside
 the settings where well-posedness is guaranteed (probability spaces for
 real-valued generators; any finite measure for positive bijections) an
-inner integral can leave the generator's range, which raises a
-stage-tagged RangeError rather than silently producing garbage.
+inner integral can leave the generator's range.  The kernel then marks
+the case with a stage code instead of a value, and the scalar entry points
+raise a stage-tagged RangeError naming the stage and the atom, checked in
+the order inner-Y, outer-X (the lhs), inner-X, outer-Y (the rhs).
 """
 
 from __future__ import annotations
@@ -21,14 +33,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DomainError, RangeError
-from .generators import Generator
+from .errors import RangeError
+from .generators import Generator, masked_eval, masked_inverse
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .residuals import ResidualReport
 
 __all__ = [
     "SimpleFunctionMatrix",
     "qam",
+    "mixed_means",
     "lhs_mixed_mean",
     "rhs_mixed_mean",
     "commutation_residual",
@@ -105,52 +118,100 @@ def qam(gen: Generator, space: DiscreteMeasureSpace, values: Sequence[float]) ->
     return gen.inverse(integral)
 
 
+# stage codes of ``mixed_means``, per side and case
+STAGE_OK, STAGE_INNER, STAGE_OUTER = 0, 1, 2
+
+# (tag, message) of a side's inner and outer failure
+_LHS_STAGES = (("inner-Y", "inner mean over Y failed at X atom {}"),
+               ("outer-X", "outer mean over X failed"))
+_RHS_STAGES = (("inner-X", "inner mean over X failed at Y atom {}"),
+               ("outer-Y", "outer mean over Y failed"))
+
+
+def _masked_mean(gen: Generator, weights, values: np.ndarray) -> np.ndarray:
+    """Means over the last axis; NaN where a value or the integral leaves gen."""
+    with np.errstate(all="ignore"):
+        return masked_inverse(gen, np.sum(weights * masked_eval(gen, values), axis=-1))
+
+
+def _nested_mean(outer: Generator, inner: Generator, w_outer, w_inner, values: np.ndarray):
+    """Outer mean over axis -2 of the inner means over axis -1, with stage codes."""
+    mid = _masked_mean(inner, w_inner, values)
+    out = _masked_mean(outer, w_outer, mid)
+    stage = np.where(np.isnan(mid).any(axis=-1), STAGE_INNER, STAGE_OUTER)
+    return out, np.where(np.isnan(out), stage, STAGE_OK)
+
+
+def _transposed(values: np.ndarray) -> np.ndarray:
+    # contiguous, so that every integral sums a contiguous last axis
+    return np.ascontiguousarray(np.swapaxes(values, -1, -2))
+
+
+def mixed_means(f: Generator, g: Generator, wx, wy, values):
+    """Both partially mixed means of a batch of simple functions H[..., m, n].
+
+    Returns ``(lhs, lhs_stage, rhs, rhs_stage)``.  The lhs is the f-mean
+    over X of the g-means over Y; the rhs is the same nested mean of
+    ``(g, f, wy, wx, H^T)``.  A case whose value or integral leaves a
+    generator's domain or range has NaN on that side and the stage code
+    STAGE_INNER or STAGE_OUTER of its first failure; STAGE_OK otherwise.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    return (*_nested_mean(f, g, wx, wy, values),
+            *_nested_mean(g, f, wy, wx, _transposed(values)))
+
+
+def _checked(mean, stage, outer: Generator, inner: Generator, w_inner, values, stages) -> float:
+    """One case's side as a float, or the RangeError of its failed stage."""
+    if stage == STAGE_OK:
+        return float(mean)
+    (inner_tag, inner_text), (outer_tag, outer_text) = stages
+    mid = _masked_mean(inner, w_inner, values)
+    if stage == STAGE_INNER:
+        atom = int(np.flatnonzero(np.isnan(mid))[0])
+        gen, args, tag, text = inner, values[atom], inner_tag, inner_text.format(atom)
+    else:
+        gen, args, tag, text = outer, mid, outer_tag, outer_text
+    why = "value outside the range" if gen.domain.contains_all(args) else \
+        "argument outside the domain"
+    raise RangeError(f"{text}: {why} of {gen.describe()}", stage=tag)
+
+
+def _case(grid: ProductGrid, h: SimpleFunctionMatrix):
+    if h.shape != grid.shape:
+        raise ValueError(f"h has shape {h.shape}, grid expects {grid.shape}")
+    return grid.space_x.weights, grid.space_y.weights, np.ascontiguousarray(h.values)
+
+
 def lhs_mixed_mean(
     f: Generator, g: Generator, grid: ProductGrid, h: SimpleFunctionMatrix
 ) -> float:
     """Inner g-mean over Y per X atom, then outer f-mean over X."""
-    m, n = grid.shape
-    if h.shape != (m, n):
-        raise ValueError(f"h has shape {h.shape}, grid expects {(m, n)}")
-    inner = np.empty(m)
-    for i in range(m):
-        try:
-            inner[i] = qam(g, grid.space_y, h.row(i))
-        except (RangeError, DomainError) as exc:
-            raise RangeError(f"inner mean over Y failed at X atom {i}: {exc}",
-                             stage="inner-Y") from exc
-    try:
-        return qam(f, grid.space_x, inner)
-    except (RangeError, DomainError) as exc:
-        raise RangeError(f"outer mean over X failed: {exc}", stage="outer-X") from exc
+    wx, wy, values = _case(grid, h)
+    return _checked(*_nested_mean(f, g, wx, wy, values), f, g, wy, values, _LHS_STAGES)
 
 
 def rhs_mixed_mean(
     f: Generator, g: Generator, grid: ProductGrid, h: SimpleFunctionMatrix
 ) -> float:
     """Inner f-mean over X per Y atom, then outer g-mean over Y."""
-    m, n = grid.shape
-    if h.shape != (m, n):
-        raise ValueError(f"h has shape {h.shape}, grid expects {(m, n)}")
-    inner = np.empty(n)
-    for j in range(n):
-        try:
-            inner[j] = qam(f, grid.space_x, h.column(j))
-        except (RangeError, DomainError) as exc:
-            raise RangeError(f"inner mean over X failed at Y atom {j}: {exc}",
-                             stage="inner-X") from exc
-    try:
-        return qam(g, grid.space_y, inner)
-    except (RangeError, DomainError) as exc:
-        raise RangeError(f"outer mean over Y failed: {exc}", stage="outer-Y") from exc
+    wx, wy, values = _case(grid, h)
+    values = _transposed(values)
+    return _checked(*_nested_mean(g, f, wy, wx, values), g, f, wx, values, _RHS_STAGES)
 
 
 def commutation_residual(
     f: Generator, g: Generator, grid: ProductGrid, h: SimpleFunctionMatrix
 ) -> ResidualReport:
-    """Evaluate both partially mixed means and report their disagreement."""
+    """Evaluate both partially mixed means and report their disagreement.
+
+    A failure raises the stage-tagged RangeError of the lhs before the rhs.
+    """
+    wx, wy, values = _case(grid, h)
+    lhs, lhs_stage, rhs, rhs_stage = mixed_means(f, g, wx, wy, values)
     return ResidualReport.from_sides(
-        lhs_mixed_mean(f, g, grid, h), rhs_mixed_mean(f, g, grid, h)
+        _checked(lhs, lhs_stage, f, g, wy, values, _LHS_STAGES),
+        _checked(rhs, rhs_stage, g, f, wx, values.T, _RHS_STAGES),
     )
 
 

@@ -4,8 +4,8 @@ For a pair of positive bijections f, g the substitution phi = f o g^{-1}
 turns two-space commutation into scalar functional equations on (0, inf).
 Each step of that reduction is exposed here as a computable check:
 
-* ``block_scenario_residual``: commutation on a 2x2 block function,
-  written out as nested scalar compositions.
+* ``block_scenario_residual``: the commutation residual on a 2x2 block
+  function, whose scalar form its docstring writes out.
 * ``phi_equation_residual``: the same identity after the change of
   variables s = g(x), ..., a four-point equation in phi alone.
 * ``big_phi`` and ``jensen_affinity_residual``: the two-weight operator
@@ -34,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError
 from .generators import CodomainKind, Generator
 from .measure_space import DiscreteMeasureSpace, ProductGrid
-from .means import SimpleFunctionMatrix
+from .means import SimpleFunctionMatrix, commutation_residual
 from .residuals import ResidualReport
 
 __all__ = [
@@ -179,15 +178,7 @@ def block_scenario_residual(
     lhs = f^{-1}(a1 f(g^{-1}(b1 g(x) + b2 g(y))) + a2 f(g^{-1}(b1 g(z) + b2 g(w))))
     rhs = g^{-1}(b1 g(f^{-1}(a1 f(x) + a2 f(z))) + b2 g(f^{-1}(a1 f(y) + a2 f(w))))
     """
-    a1, a2, b1, b2 = scenario.masses
-    x, y, z, w = scenario.block_values
-    inner_top = g.inverse(b1 * g.eval(x) + b2 * g.eval(y))
-    inner_bot = g.inverse(b1 * g.eval(z) + b2 * g.eval(w))
-    lhs = f.inverse(a1 * f.eval(inner_top) + a2 * f.eval(inner_bot))
-    inner_left = f.inverse(a1 * f.eval(x) + a2 * f.eval(z))
-    inner_right = f.inverse(a1 * f.eval(y) + a2 * f.eval(w))
-    rhs = g.inverse(b1 * g.eval(inner_left) + b2 * g.eval(inner_right))
-    return ResidualReport.from_sides(lhs, rhs)
+    return commutation_residual(f, g, *scenario.to_grid_and_matrix())
 
 
 def phi_equation_residual(

@@ -7,15 +7,20 @@ family is searched first (it is the minimal sufficient test class), with
 a full matrix search available for independent confirmation at small
 shapes.
 
-Both searches are deterministic: the grid may be partitioned across
-workers, each partition reports its local maximum together with the
-smallest flat index attaining it, and the merge takes the global maximum
-with a lexicographic tie-break, so the result is independent of the
-schedule and of the worker count.
+Both searches run one loop: the flat candidate range is cut into batches
+(one x value of the block search, up to ``BATCH_SIZE`` matrices of the
+full search), the batches are partitioned across workers, each batch
+reports its maximum together with the smallest flat index attaining it,
+and the merge walks the batches in index order keeping the first global
+maximum, so the result is independent of the schedule and of the worker
+count.  The full search evaluates each batch with the ``mixed_means``
+kernel; the block search factors the kernel through the inner means of
+every value pair, computed once, so no array it builds exceeds n^3.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -26,9 +31,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .generators import Generator, Interval
+from .generators import Generator, masked_eval, masked_inverse
 from .measure_space import DiscreteMeasureSpace, ProductGrid
-from .means import SimpleFunctionMatrix, commutation_residual
+from .means import SimpleFunctionMatrix, commutation_residual, mixed_means
 from .phi_reduction import BlockScenario, block_scenario_residual
 from .residuals import ResidualReport
 
@@ -43,6 +48,8 @@ __all__ = [
 ]
 
 MAX_FULL_SEARCH_EVALS = 10_000_000
+# candidates per batch of the full matrix search
+BATCH_SIZE = 65536
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # accept a refinement step only if it beats the incumbent by more than noise
@@ -115,32 +122,8 @@ class Witness:
 
 
 # ---------------------------------------------------------------------------
-# Masked raw evaluation: invalid points become NaN instead of raising
+# The search loop shared by both searches
 # ---------------------------------------------------------------------------
-
-def _masked_eval(gen: Generator, arr: np.ndarray) -> np.ndarray:
-    ok = gen.domain.contains(arr)
-    safe = _safe_point(gen.domain)
-    out = gen._eval_raw(np.where(ok, arr, safe))
-    return np.where(ok, out, np.nan)
-
-
-def _masked_inverse(gen: Generator, arr: np.ndarray) -> np.ndarray:
-    ok = gen.codomain.contains(arr)
-    safe = _safe_point(gen.codomain)
-    out = gen._inverse_raw(np.where(ok, arr, safe))
-    return np.where(ok, out, np.nan)
-
-
-def _safe_point(iv: Interval) -> float:
-    if math.isfinite(iv.lower) and math.isfinite(iv.upper):
-        return 0.5 * (iv.lower + iv.upper)
-    if math.isfinite(iv.lower):
-        return iv.lower + 1.0
-    if math.isfinite(iv.upper):
-        return iv.upper - 1.0
-    return 0.0
-
 
 def _grid_points(grid, f: Generator, g: Generator) -> np.ndarray:
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, dtype=float)
@@ -161,28 +144,38 @@ def _rel_residuals(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     return np.where(valid, rel, -1.0), skipped
 
 
-def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, total))
-    bounds = np.linspace(0, total, workers + 1, dtype=int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers)
-            if bounds[i] < bounds[i + 1]]
+def _search(sides, total: int, batch: int, threshold: float, workers: int):
+    """Flat index of the candidate with the largest relative residual, and skips.
 
+    ``sides(start, stop)`` returns both means of candidates start..stop-1.
+    The batches of ``batch`` candidates are split into one contiguous run
+    per worker; the index is None unless the maximum exceeds ``threshold``.
+    """
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be a finite positive real, got {threshold}")
 
-def _merge_best(results):
-    """Global (max value, smallest flat index) over per-chunk results."""
-    best_val, best_idx, skipped = -math.inf, -1, 0
-    for val, idx, skip in results:
+    def best_in(start: int):
+        lhs, rhs = sides(start, min(start + batch, total))
+        rel, skipped = _rel_residuals(lhs.ravel(), rhs.ravel())
+        local = int(np.argmax(rel))
+        return float(rel[local]), start + local, skipped
+
+    def chunk(starts: np.ndarray):
+        return [best_in(int(start)) for start in starts]
+
+    parts = [p for p in np.array_split(np.arange(0, total, batch), max(1, workers)) if p.size]
+    if len(parts) == 1:
+        results = [chunk(parts[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            results = list(pool.map(chunk, parts))
+    # batches in index order: a strict > keeps the smallest index of a tie
+    best_val, best_idx, skipped = -math.inf, None, 0
+    for val, idx, skip in itertools.chain.from_iterable(results):
         skipped += skip
-        if val > best_val or (val == best_val and idx != -1 and (best_idx == -1 or idx < best_idx)):
+        if val > best_val:
             best_val, best_idx = val, idx
-    return best_val, best_idx, skipped
-
-
-def _run_chunks(chunk_fn, ranges, workers: int):
-    if workers <= 1 or len(ranges) <= 1:
-        return [chunk_fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: chunk_fn(*r), ranges))
+    return (best_idx if best_val > threshold else None), skipped
 
 
 # ---------------------------------------------------------------------------
@@ -214,34 +207,24 @@ def block_witness_search(
     npts = pts.size
 
     with np.errstate(all="ignore"):
-        gv = _masked_eval(g, pts)
-        fv = _masked_eval(f, pts)
-        # inner means for every value pair, computed once
-        inner_y = _masked_inverse(g, beta1 * gv[:, None] + beta2 * gv[None, :])
-        f_of_inner_y = _masked_eval(f, inner_y)                      # (i, j)
-        inner_x = _masked_inverse(f, alpha1 * fv[:, None] + alpha2 * fv[None, :])
-        g_of_inner_x = _masked_eval(g, inner_x)                      # (i, k)
+        gv, fv = masked_eval(g, pts), masked_eval(f, pts)
+        # f of the inner Y-mean (i, j) and g of the inner X-mean (i, k) of
+        # every value pair, computed once
+        f_inner_y = masked_eval(f, masked_inverse(g, beta1 * gv[:, None] + beta2 * gv[None, :]))
+        g_inner_x = masked_eval(g, masked_inverse(f, alpha1 * fv[:, None] + alpha2 * fv[None, :]))
 
-    def chunk(lo: int, hi: int):
+    def sides(start: int, stop: int):
+        # one batch is one x: the (y, z, w) cube of candidates
+        x = start // npts**3
         with np.errstate(all="ignore"):
-            lhs = _masked_inverse(
-                f,
-                alpha1 * f_of_inner_y[lo:hi, :, None, None]
-                + alpha2 * f_of_inner_y[None, None, :, :],
-            )
-            rhs = _masked_inverse(
-                g,
-                beta1 * g_of_inner_x[lo:hi, None, :, None]
-                + beta2 * g_of_inner_x[None, :, None, :],
-            )
-        rel, skipped = _rel_residuals(lhs, rhs)
-        flat = rel.ravel()
-        local = int(np.argmax(flat))
-        return float(flat[local]), lo * npts**3 + local, skipped
+            lhs = masked_inverse(
+                f, alpha1 * f_inner_y[x, :, None, None] + alpha2 * f_inner_y[None, :, :])
+            rhs = masked_inverse(
+                g, beta1 * g_inner_x[x, None, :, None] + beta2 * g_inner_x[:, None, :])
+        return lhs, rhs
 
-    results = _run_chunks(chunk, _chunk_ranges(npts, workers), workers)
-    best_val, best_idx, skipped = _merge_best(results)
-    if not best_val > threshold:
+    best_idx, skipped = _search(sides, npts**4, npts**3, threshold, workers)
+    if best_idx is None:
         return None
 
     xi, rem = divmod(best_idx, npts**3)
@@ -273,7 +256,6 @@ def full_witness_search(
     value_grid: GridSpec | Sequence[float],
     threshold: float = 1e-4,
     workers: int = 1,
-    batch_size: int = 65536,
 ) -> Witness | None:
     """Exhaustively search value matrices of the given shape.
 
@@ -297,32 +279,15 @@ def full_witness_search(
     wy = space_y.weights
     radix = npts ** np.arange(cells - 1, -1, -1, dtype=np.int64)
 
-    def chunk(lo: int, hi: int):
-        best_val, best_idx, skipped = -math.inf, -1, 0
-        for start in range(lo, hi, batch_size):
-            stop = min(start + batch_size, hi)
-            idx = np.arange(start, stop, dtype=np.int64)
-            digits = (idx[:, None] // radix[None, :]) % npts
-            values = pts[digits].reshape(stop - start, m, n)
-            with np.errstate(all="ignore"):
-                gv = _masked_eval(g, values)
-                inner_y = _masked_inverse(g, np.sum(gv * wy[None, None, :], axis=2))
-                f_inner = _masked_eval(f, inner_y)
-                lhs = _masked_inverse(f, np.sum(f_inner * wx[None, :], axis=1))
-                fv = _masked_eval(f, values)
-                inner_x = _masked_inverse(f, np.sum(fv * wx[None, :, None], axis=1))
-                g_inner = _masked_eval(g, inner_x)
-                rhs = _masked_inverse(g, np.sum(g_inner * wy[None, :], axis=1))
-            rel, skip = _rel_residuals(lhs, rhs)
-            skipped += skip
-            local = int(np.argmax(rel))
-            if rel[local] > best_val:
-                best_val, best_idx = float(rel[local]), start + local
-        return best_val, best_idx, skipped
+    def sides(start: int, stop: int):
+        digits = (np.arange(start, stop, dtype=np.int64)[:, None] // radix) % npts
+        lhs, _, rhs, _ = mixed_means(f, g, wx, wy, pts[digits].reshape(stop - start, m, n))
+        return lhs, rhs
 
-    results = _run_chunks(chunk, _chunk_ranges(total, workers), workers)
-    best_val, best_idx, skipped = _merge_best(results)
-    if not best_val > threshold:
+    # small enough that every worker gets a batch
+    batch = min(BATCH_SIZE, -(-total // max(1, workers)))
+    best_idx, skipped = _search(sides, total, batch, threshold, workers)
+    if best_idx is None:
         return None
 
     digits = (best_idx // radix) % npts
@@ -358,42 +323,22 @@ def refine_witness(
     if iterations <= 0:
         return start
 
+    # a block witness is a 2x2 matrix; ``kind`` only chooses the JSON layout
     if start.kind == "block":
-        coords = [float(v) for v in start.values]
-        a1, a2, b1, b2 = start.masses
-
-        def rel_at(vals: list[float]) -> float:
-            try:
-                sc = BlockScenario(a1, a2, b1, b2, *vals)
-                return block_scenario_residual(f, g, sc).rel_residual
-            except (RangeError, DomainError, ValueError):
-                return -math.inf
-
-        def rebuild(vals: list[float]) -> Witness:
-            sc = BlockScenario(a1, a2, b1, b2, *vals)
-            return Witness("block", start.masses, sc.block_values,
-                           block_scenario_residual(f, g, sc), start.skipped_points)
+        (wx, wy), shape = (start.masses[:2], start.masses[2:]), (2, 2)
     else:
-        shape = (len(start.values), len(start.values[0]))
-        coords = [float(v) for row in start.values for v in row]
-        grid = ProductGrid(
-            DiscreteMeasureSpace(start.masses[0]), DiscreteMeasureSpace(start.masses[1])
-        )
+        (wx, wy), shape = start.masses, (len(start.values), len(start.values[0]))
+    coords = [float(v) for v in np.ravel(start.values)]
+    grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
 
-        def rel_at(vals: list[float]) -> float:
-            try:
-                mat = SimpleFunctionMatrix(np.asarray(vals).reshape(shape))
-                return commutation_residual(f, g, grid, mat).rel_residual
-            except (RangeError, DomainError, ValueError):
-                return -math.inf
+    def report_at(vals: list[float]) -> ResidualReport:
+        return commutation_residual(f, g, grid, SimpleFunctionMatrix(np.reshape(vals, shape)))
 
-        def rebuild(vals: list[float]) -> Witness:
-            mat = SimpleFunctionMatrix(np.asarray(vals).reshape(shape))
-            return Witness(
-                "matrix", start.masses,
-                tuple(tuple(float(v) for v in row) for row in mat.values),
-                commutation_residual(f, g, grid, mat), start.skipped_points,
-            )
+    def rel_at(vals: list[float]) -> float:
+        try:
+            return report_at(vals).rel_residual
+        except (RangeError, DomainError, ValueError):
+            return -math.inf
 
     common = f.domain.intersection(g.domain)
     if common is None:
@@ -440,4 +385,8 @@ def refine_witness(
                 best_rel = cand_val
                 improved = True
 
-    return rebuild(coords) if improved else start
+    if not improved:
+        return start
+    values = tuple(coords) if start.kind == "block" else \
+        tuple(tuple(row) for row in np.reshape(coords, shape).tolist())
+    return Witness(start.kind, start.masses, values, report_at(coords), start.skipped_points)

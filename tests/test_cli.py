@@ -65,6 +65,16 @@ class TestCheck:
         assert code == 3
         assert "stage" in capsys.readouterr().err
 
+    def test_range_failure_on_the_rhs_only(self, docs, capsys):
+        # the lhs is ln 1.2; the inner X-mean of the rhs falls below f's range (1, inf)
+        wide = write(docs["tmp"] / "wide5.json", {"weights": [5.0, 5.0]})
+        code = main(
+            ["check", "--f", docs["shifted"], "--g", docs["exp1"],
+             "--space-x", docs["tiny2"], "--space-y", wide, "--h", docs["h_zero"]]
+        )
+        assert code == 3
+        assert "inner-X" in capsys.readouterr().err
+
     def test_missing_file(self, docs, capsys):
         code = main(
             ["check", "--f", str(docs["tmp"] / "absent.json"), "--g", docs["exp1"],
@@ -150,6 +160,17 @@ class TestWitness:
              "--spacing", "linear", "--range=-2:2", "--grid", "9"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("threshold", ["nan", "0"])
+    def test_bad_threshold_is_malformed_input(self, docs, capsys, threshold):
+        # nan would hide every witness, 0 would report rounding noise as one
+        code = main(
+            ["witness", "--f", docs["exp1"], "--g", docs["exp2"],
+             "--space-x", docs["unit2"], "--space-y", docs["unit2"],
+             "--threshold", threshold]
+        )
+        assert code == 2
+        assert "threshold" in capsys.readouterr().err
 
 
 class TestSuiteAndPhi:

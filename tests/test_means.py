@@ -195,6 +195,32 @@ class TestMixedMeans:
             rhs_mixed_mean(ExpGenerator(1.0), shifted, ProductGrid(unit, small_y), h)
         assert err.value.stage == "outer-Y"
 
+    def test_stage_on_the_rhs_only(self):
+        shifted = affine(ExpGenerator(1.0), 1.0, 1.0)
+        grid = ProductGrid(DiscreteMeasureSpace([0.1, 0.1]), DiscreteMeasureSpace([5.0, 5.0]))
+        h = SimpleFunctionMatrix(np.zeros((2, 2)))
+        assert lhs_mixed_mean(shifted, ExpGenerator(1.0), grid, h) == pytest.approx(math.log(1.2))
+        with pytest.raises(RangeError) as err:
+            commutation_residual(shifted, ExpGenerator(1.0), grid, h)
+        assert err.value.stage == "inner-X"
+        assert "Y atom 0" in str(err.value)
+
+    @pytest.mark.parametrize("shape", [(9, 2), (2, 9)])
+    def test_sides_equal_nested_qam_bit_for_bit(self, shape):
+        # nine atoms on one side: numpy's pairwise sum then differs from a
+        # strided one, so this pins the summation order of the kernel
+        rng = np.random.default_rng(5)
+        f, g = ExpGenerator(1.0), ExpGenerator(2.0)
+        for _ in range(30):
+            space_x = DiscreteMeasureSpace(rng.uniform(0.2, 2.0, shape[0]))
+            space_y = DiscreteMeasureSpace(rng.uniform(0.2, 2.0, shape[1]))
+            h = SimpleFunctionMatrix(rng.uniform(-2.0, 2.0, shape))
+            lhs = qam(f, space_x, [qam(g, space_y, h.row(i)) for i in range(shape[0])])
+            rhs = qam(g, space_y, [qam(f, space_x, h.column(j)) for j in range(shape[1])])
+            report = commutation_residual(f, g, ProductGrid(space_x, space_y), h)
+            assert report.lhs == lhs
+            assert report.rhs == rhs
+
     def test_shape_mismatch(self):
         h = SimpleFunctionMatrix([[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):

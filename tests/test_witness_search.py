@@ -137,6 +137,17 @@ class TestFullSearch:
         assert flat == block.values
         assert full.report.rel_residual == pytest.approx(block.report.rel_residual, rel=1e-12)
 
+    def test_two_by_two_equals_block_search_with_skips(self):
+        f, g = affine(ExpGenerator(1.0), 1.0, 1.0), ExpGenerator(1.0)
+        spaces = (DiscreteMeasureSpace([0.3, 0.3]), DiscreteMeasureSpace([0.3, 0.3]))
+        grid = GridSpec(9, (0.05, 2.0))
+        full = full_witness_search(f, g, (2, 2), spaces, grid, 1e-6)
+        block = block_witness_search(f, g, 0.3, 0.3, 0.3, 0.3, grid, 1e-6)
+        assert full is not None and block is not None
+        assert tuple(v for row in full.values for v in row) == block.values
+        assert full.report.rel_residual == block.report.rel_residual
+        assert full.skipped_points == block.skipped_points > 0
+
     def test_single_cell_on_probability_spaces_commutes(self):
         f, g = ExpGenerator(1.0), PowerGenerator(1.0)
         spaces = (DiscreteMeasureSpace([1.0]), DiscreteMeasureSpace([1.0]))
