@@ -13,7 +13,8 @@ the g-means over Y, and the rhs is the same nested mean computed with
 (g, f, wy, wx, H^T).  H^T is copied into a contiguous array, so every
 integral sums a contiguous last axis in the order of
 ``DiscreteMeasureSpace.integrate`` and the kernel agrees bit for bit with
-nested ``qam`` calls.  The witness searches feed it whole batches;
+nested ``qam`` calls.  The witness searches and the randomized suites
+feed it whole batches, the suites with masses per case;
 ``lhs_mixed_mean``, ``rhs_mixed_mean`` and ``commutation_residual`` are
 batches of one.
 
@@ -136,7 +137,7 @@ def _masked_mean(gen: Generator, weights, values: np.ndarray) -> np.ndarray:
 
 def _nested_mean(outer: Generator, inner: Generator, w_outer, w_inner, values: np.ndarray):
     """Outer mean over axis -2 of the inner means over axis -1, with stage codes."""
-    mid = _masked_mean(inner, w_inner, values)
+    mid = _masked_mean(inner, w_inner[..., None, :], values)
     out = _masked_mean(outer, w_outer, mid)
     stage = np.where(np.isnan(mid).any(axis=-1), STAGE_INNER, STAGE_OUTER)
     return out, np.where(np.isnan(out), stage, STAGE_OK)
@@ -155,7 +156,14 @@ def mixed_means(f: Generator, g: Generator, wx, wy, values):
     ``(g, f, wy, wx, H^T)``.  A case whose value or integral leaves a
     generator's domain or range has NaN on that side and the stage code
     STAGE_INNER or STAGE_OUTER of its first failure; STAGE_OK otherwise.
+
+    The weights ``wx[..., m]`` and ``wy[..., n]`` broadcast with
+    ``H[..., m, n]``: 1-D weights are shared by the whole batch, and
+    ``wx[B, m]``, ``wy[B, n]`` with ``H[B, m, n]`` give every case its own
+    spaces.  Each case's sides equal those of ``commutation_residual`` on
+    that case bit for bit.
     """
+    wx, wy = np.asarray(wx, dtype=float), np.asarray(wy, dtype=float)
     values = np.ascontiguousarray(values, dtype=float)
     return (*_nested_mean(f, g, wx, wy, values),
             *_nested_mean(g, f, wy, wx, _transposed(values)))

@@ -131,9 +131,6 @@ class ProductGrid:
     def shape(self) -> tuple[int, int]:
         return (len(self._space_x), len(self._space_y))
 
-    def weight(self, i: int, j: int) -> float:
-        return float(self._space_x.weights[i] * self._space_y.weights[j])
-
     def weight_matrix(self) -> np.ndarray:
         return np.outer(self._space_x.weights, self._space_y.weights)
 

@@ -6,6 +6,14 @@ report the worst relative residual seen.  The proportional suite pairs
 f = c*g over positive bijections on arbitrary finite masses; the affine
 suite pairs f = a*g + b over real-valued injections on probability
 spaces.  All randomness flows from one seed, so runs are reproducible.
+
+The cases are drawn first, in a fixed order from one RNG stream, then
+grouped by (f, g, shape) and each group is evaluated as one batch of the
+``mixed_means`` kernel, with its own masses per case.  Grouping changes
+neither the case order, the RNG stream nor any row: each case's sides
+equal those of ``commutation_residual`` bit for bit, and a failing case
+raises the same stage-tagged RangeError, that of the first failing case
+in case order.
 """
 
 from __future__ import annotations
@@ -25,8 +33,9 @@ from .generators import (
     affine,
     scale,
 )
-from .means import SimpleFunctionMatrix, commutation_residual
+from .means import STAGE_OK, SimpleFunctionMatrix, commutation_residual, mixed_means
 from .measure_space import DiscreteMeasureSpace, ProductGrid
+from .residuals import ResidualReport
 
 __all__ = ["SuiteResult", "run_finite_measure_suite", "run_probability_suite"]
 
@@ -60,9 +69,9 @@ class SuiteResult:
         }
 
 
-def _random_space(rng: np.random.Generator, n_atoms: int, total_mass: float) -> DiscreteMeasureSpace:
+def _random_masses(rng: np.random.Generator, n_atoms: int, total_mass: float) -> np.ndarray:
     raw = rng.uniform(0.5, 1.5, n_atoms)
-    return DiscreteMeasureSpace(raw * (total_mass / raw.sum()))
+    return raw * (total_mass / raw.sum())
 
 
 def _random_total_mass(rng: np.random.Generator) -> float:
@@ -86,12 +95,34 @@ def _random_values(rng: np.random.Generator, domain: Interval, shape) -> np.ndar
 def _run_cases(
     name: str,
     tol: float,
-    cases,  # iterable of (case_id, f, g, grid, h)
+    cases,  # iterable of (f, g, wx, wy, H): generators, masses, values
 ) -> SuiteResult:
+    """One ``mixed_means`` batch per (f, g, shape) group; rows in case order."""
+    cases = list(cases)
+    groups: dict[tuple, list[int]] = {}
+    for k, (f, g, _, _, values) in enumerate(cases):
+        groups.setdefault((f, g, values.shape), []).append(k)
+
+    sides = [None] * len(cases)
+    failed = []
+    for (f, g, _), idx in groups.items():
+        wx, wy, values = (np.stack([cases[k][a] for k in idx]) for a in (2, 3, 4))
+        lhs, lhs_stage, rhs, rhs_stage = mixed_means(f, g, wx, wy, values)
+        bad = np.flatnonzero((lhs_stage != STAGE_OK) | (rhs_stage != STAGE_OK))
+        if bad.size:
+            failed.append(idx[bad[0]])
+        for k, pair in zip(idx, zip(lhs.tolist(), rhs.tolist())):
+            sides[k] = pair
+    if failed:
+        # the scalar path raises the stage-tagged error of the first failing case
+        f, g, wx, wy, values = cases[min(failed)]
+        grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
+        commutation_residual(f, g, grid, SimpleFunctionMatrix(values))
+
     result = SuiteResult(name=name, tolerance=tol)
     worst = 0.0
-    for case_id, f, g, grid, h in cases:
-        report = commutation_residual(f, g, grid, h)
+    for case_id, ((f, g, wx, wy, _), (lhs, rhs)) in enumerate(zip(cases, sides)):
+        report = ResidualReport.from_sides(lhs, rhs)
         worst = max(worst, report.rel_residual)
         result.rows.append(
             {
@@ -99,8 +130,8 @@ def _run_cases(
                 "case": case_id,
                 "f": f.describe(),
                 "g": g.describe(),
-                "masses_x": ";".join(f"{w:.6g}" for w in grid.space_x.weights),
-                "masses_y": ";".join(f"{w:.6g}" for w in grid.space_y.weights),
+                "masses_x": ";".join(f"{w:.6g}" for w in wx),
+                "masses_y": ";".join(f"{w:.6g}" for w in wy),
                 "lhs": report.lhs,
                 "rhs": report.rhs,
                 "abs_residual": report.abs_residual,
@@ -131,21 +162,16 @@ def run_finite_measure_suite(
     ]
 
     def cases():
-        case_id = 0
         for g in catalog:
             for c in (0.5, 2.0, 10.0):
                 f = scale(g, c)
                 for _ in range(pairs_per_combo):
                     mx = int(rng.integers(2, 4))
                     my = int(rng.integers(2, 4))
-                    grid = ProductGrid(
-                        _random_space(rng, mx, _random_total_mass(rng)),
-                        _random_space(rng, my, _random_total_mass(rng)),
-                    )
+                    wx = _random_masses(rng, mx, _random_total_mass(rng))
+                    wy = _random_masses(rng, my, _random_total_mass(rng))
                     for _ in range(h_per_pair):
-                        h = SimpleFunctionMatrix(_random_values(rng, g.domain, (mx, my)))
-                        yield case_id, f, g, grid, h
-                        case_id += 1
+                        yield f, g, wx, wy, _random_values(rng, g.domain, (mx, my))
 
     return _run_cases("finite-measure-proportional", tol, cases())
 
@@ -169,17 +195,12 @@ def run_probability_suite(
     per_combo = -(-trials // len(combos))  # ceil division
 
     def cases():
-        case_id = 0
         for a, b, g in combos:
             f = affine(g, a, b)
             for _ in range(per_combo):
                 mx = int(rng.integers(2, 4))
                 my = int(rng.integers(2, 4))
-                grid = ProductGrid(
-                    _random_space(rng, mx, 1.0), _random_space(rng, my, 1.0)
-                )
-                h = SimpleFunctionMatrix(_random_values(rng, g.domain, (mx, my)))
-                yield case_id, f, g, grid, h
-                case_id += 1
+                wx, wy = _random_masses(rng, mx, 1.0), _random_masses(rng, my, 1.0)
+                yield f, g, wx, wy, _random_values(rng, g.domain, (mx, my))
 
     return _run_cases("probability-affine", tol, cases())

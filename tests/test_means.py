@@ -15,6 +15,7 @@ from qamlab import (
     affine,
     commutation_residual,
     lhs_mixed_mean,
+    mixed_means,
     qam,
     rhs_mixed_mean,
     scale,
@@ -220,6 +221,40 @@ class TestMixedMeans:
             report = commutation_residual(f, g, ProductGrid(space_x, space_y), h)
             assert report.lhs == lhs
             assert report.rhs == rhs
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_batch_with_weights_per_case_equals_single_cases(self, shape, shifted):
+        # with shifted generators (range (1, inf)) and masses below 1 some
+        # cases fail, at every stage, inside a batch of valid ones
+        f, g = ExpGenerator(1.0), ExpGenerator(2.0)
+        if shifted:
+            f, g = affine(f, 1.0, 1.0), affine(g, 1.0, 1.0)
+        rng = np.random.default_rng(3)
+        batch = 40
+        wx = rng.uniform(0.05, 1.0, (batch, shape[0]))
+        wy = rng.uniform(0.05, 1.0, (batch, shape[1]))
+        values = rng.uniform(-2.0, 2.0, (batch, *shape))
+        lhs, lhs_stage, rhs, rhs_stage = mixed_means(f, g, wx, wy, values)
+        tags = {(0, 1): "inner-Y", (0, 2): "outer-X", (1, 1): "inner-X", (1, 2): "outer-Y"}
+        for k in range(batch):
+            grid = ProductGrid(DiscreteMeasureSpace(wx[k]), DiscreteMeasureSpace(wy[k]))
+            h = SimpleFunctionMatrix(values[k])
+            stages = (int(lhs_stage[k]), int(rhs_stage[k]))
+            if stages == (0, 0):
+                report = commutation_residual(f, g, grid, h)
+                assert (report.lhs, report.rhs) == (lhs[k], rhs[k])
+                continue
+            side = 0 if stages[0] else 1
+            with pytest.raises(RangeError) as err:
+                commutation_residual(f, g, grid, h)
+            assert err.value.stage == tags[side, stages[side]]
+            for mean, one_sided, stage in ((lhs[k], lhs_mixed_mean, stages[0]),
+                                           (rhs[k], rhs_mixed_mean, stages[1])):
+                if stage:
+                    assert math.isnan(mean)
+                else:
+                    assert one_sided(f, g, grid, h) == mean
 
     def test_shape_mismatch(self):
         h = SimpleFunctionMatrix([[0.0, 0.0, 0.0]])

@@ -129,9 +129,6 @@ class TestProductGrid:
     def test_weight_is_product(self):
         grid = ProductGrid(DiscreteMeasureSpace([1.0, 2.0]), DiscreteMeasureSpace([3.0, 4.0, 5.0]))
         assert grid.shape == (2, 3)
-        for i, wx in enumerate([1.0, 2.0]):
-            for j, wy in enumerate([3.0, 4.0, 5.0]):
-                assert grid.weight(i, j) == wx * wy
         assert np.array_equal(grid.weight_matrix(), np.outer([1.0, 2.0], [3.0, 4.0, 5.0]))
 
     def test_transposed_swaps_axes(self):

@@ -1,6 +1,68 @@
+import numpy as np
 import pytest
 
-from qamlab import run_finite_measure_suite, run_probability_suite
+from qamlab import (
+    DiscreteMeasureSpace,
+    ExpGenerator,
+    IdentityGenerator,
+    LogGenerator,
+    PowerGenerator,
+    ProductGrid,
+    RangeError,
+    SimpleFunctionMatrix,
+    affine,
+    commutation_residual,
+    run_finite_measure_suite,
+    run_probability_suite,
+    scale,
+)
+from qamlab.suites import _run_cases
+from conftest import random_in_domain
+
+
+def per_case_rows(name, tol, cases):
+    """Reference: one ``commutation_residual`` per case, rows as the suites build them."""
+    rows, worst = [], 0.0
+    for case_id, (f, g, wx, wy, values) in enumerate(cases):
+        grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
+        report = commutation_residual(f, g, grid, SimpleFunctionMatrix(values))
+        worst = max(worst, report.rel_residual)
+        rows.append(
+            {
+                "suite": name,
+                "case": case_id,
+                "f": f.describe(),
+                "g": g.describe(),
+                "masses_x": ";".join(f"{w:.6g}" for w in grid.space_x.weights),
+                "masses_y": ";".join(f"{w:.6g}" for w in grid.space_y.weights),
+                "lhs": report.lhs,
+                "rhs": report.rhs,
+                "abs_residual": report.abs_residual,
+                "rel_residual": report.rel_residual,
+                "pass": report.rel_residual <= tol,
+            }
+        )
+    return rows, worst
+
+
+def hand_built_cases():
+    """Both catalogs in all four shapes; members of a group are 16 cases apart."""
+    rng = np.random.default_rng(8)
+    pairs = [
+        (scale(ExpGenerator(2.0), 10.0), ExpGenerator(2.0), False),
+        (scale(PowerGenerator(-1.0), 0.5), PowerGenerator(-1.0), False),
+        (affine(LogGenerator(), -2.0, 4.0), LogGenerator(), True),
+        (affine(IdentityGenerator(), 3.0, -1.0), IdentityGenerator(), True),
+    ]
+    cases = []
+    for _ in range(3):
+        for shape in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            for f, g, probability in pairs:
+                totals = (1.0, 1.0) if probability else rng.uniform(0.2, 5.0, 2)
+                wx, wy = (rng.uniform(0.5, 1.5, size) for size in shape)
+                wx, wy = wx * (totals[0] / wx.sum()), wy * (totals[1] / wy.sum())
+                cases.append((f, g, wx, wy, random_in_domain(rng, g, shape)))
+    return cases
 
 
 class TestSuites:
@@ -42,3 +104,33 @@ class TestSuites:
             for key in ("masses_x", "masses_y"):
                 total = sum(float(w) for w in row[key].split(";"))
                 assert abs(total - 1.0) > 1e-3
+
+    def test_batched_rows_equal_per_case_rows(self):
+        cases = hand_built_cases()
+        result = _run_cases("hand-built", 1e-8, cases)
+        rows, worst = per_case_rows("hand-built", 1e-8, cases)
+        assert len(rows) == 48
+        assert result.rows == rows
+        assert result.max_rel_residual == worst
+
+    @pytest.mark.parametrize("boundary_first", [False, True])
+    def test_raises_the_error_of_the_first_failing_case(self, boundary_first):
+        # the later failing case sits in the group that is evaluated first
+        boundary = (affine(PowerGenerator(2.0), -2.0, -1.0), PowerGenerator(2.0))
+        shifted = (ExpGenerator(1.0), affine(ExpGenerator(1.0), 1.0, 1.0))
+        half, small = np.array([0.5, 0.5]), np.array([0.1, 0.1])
+        boundary_cases = [(*boundary, half, half, np.full((2, 2), 0.7)),
+                          (*boundary, half, half, np.full((2, 2), 1e-9))]   # outer-X
+        shifted_cases = [(*shifted, half, half, np.zeros((2, 2))),
+                         (*shifted, half, small, np.zeros((2, 2)))]        # inner-Y
+        first, second = (shifted_cases, boundary_cases) if boundary_first else \
+            (boundary_cases, shifted_cases)
+        cases = [first[0], second[1], first[1]]
+
+        with pytest.raises(RangeError) as expected:
+            per_case_rows("errors", 1e-8, cases)
+        with pytest.raises(RangeError) as err:
+            _run_cases("errors", 1e-8, cases)
+        assert expected.value.stage == ("outer-X" if boundary_first else "inner-Y")
+        assert err.value.stage == expected.value.stage
+        assert str(err.value) == str(expected.value)
