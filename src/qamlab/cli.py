@@ -51,11 +51,18 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ValueError(f"{args.command} requires --{', --'.join(m.replace('_', '-') for m in missing)}")
 
 
+def _tolerance(args: argparse.Namespace) -> float:
+    if not args.tol > 0.0:
+        raise ValueError("tolerance must be positive")
+    return args.tol
+
+
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, object]:
+    tol = _tolerance(args)
     _require(args, "f", "g", "space_x", "space_y", "h")
     f = _load_generator(args.f)
     g = _load_generator(args.g)
@@ -75,20 +82,21 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, object]:
         "space_x": grid.space_x.to_json(),
         "space_y": grid.space_y.to_json(),
         "h": h.to_json(),
-        "tolerance": args.tol,
+        "tolerance": tol,
         **report.to_dict(),
-        "pass": report.passes(args.tol),
+        "pass": report.passes(tol),
     }
-    return (0 if report.passes(args.tol) else 1), doc
+    return (0 if report.passes(tol) else 1), doc
 
 
 def _cmd_witness(args: argparse.Namespace) -> tuple[int, object]:
+    value_range = _parse_range(args.value_range)
     _require(args, "f", "g", "space_x", "space_y")
     f = _load_generator(args.f)
     g = _load_generator(args.g)
     space_x = _load_space(args.space_x)
     space_y = _load_space(args.space_y)
-    grid = GridSpec(args.grid, args.value_range, Spacing(args.spacing))
+    grid = GridSpec(args.grid, value_range, Spacing(args.spacing))
     if len(space_x) == 2 and len(space_y) == 2:
         wx, wy = space_x.weights, space_y.weights
         witness = block_witness_search(
@@ -106,8 +114,9 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[int, object]:
 
 
 def _cmd_suite(args: argparse.Namespace) -> tuple[int, object]:
-    fm = run_finite_measure_suite(seed=args.seed, tol=args.tol)
-    pr = run_probability_suite(seed=args.seed, tol=args.tol)
+    tol = _tolerance(args)
+    fm = run_finite_measure_suite(seed=args.seed, tol=tol)
+    pr = run_probability_suite(seed=args.seed, tol=tol)
     ok = fm.passed and pr.passed
     doc = {
         "command": "suite",
@@ -120,27 +129,23 @@ def _cmd_suite(args: argparse.Namespace) -> tuple[int, object]:
 
 
 def _cmd_phi(args: argparse.Namespace) -> tuple[int, object]:
+    tol = _tolerance(args)
     _require(args, "f", "g")
     f = _load_generator(args.f)
     g = _load_generator(args.g)
-    a1 = a2 = b1 = b2 = 1.0
-    if args.space_x is not None:
-        sx = _load_space(args.space_x)
-        if len(sx) != 2:
-            raise ValueError("phi diagnostics need a two-atom X space")
-        a1, a2 = (float(w) for w in sx.weights)
-    if args.space_y is not None:
-        sy = _load_space(args.space_y)
-        if len(sy) != 2:
-            raise ValueError("phi diagnostics need a two-atom Y space")
-        b1, b2 = (float(w) for w in sy.weights)
-    rows = run_diagnostics(f, g, a1, a2, b1, b2, tol=args.tol)
+    masses: list[float] = []
+    for axis, path in (("X", args.space_x), ("Y", args.space_y)):
+        weights = [1.0, 1.0] if path is None else _load_space(path).weights
+        if len(weights) != 2:
+            raise ValueError(f"phi diagnostics need a two-atom {axis} space")
+        masses += [float(w) for w in weights]
+    rows = run_diagnostics(f, g, *masses, tol=tol)
     doc = {
         "command": "phi",
         "f": f.to_json(),
         "g": g.to_json(),
-        "masses": [a1, a2, b1, b2],
-        "tolerance": args.tol,
+        "masses": masses,
+        "tolerance": tol,
         "checks": rows,
     }
     return 0, doc
@@ -158,8 +163,6 @@ def dispatch(args: argparse.Namespace) -> tuple[int, object]:
     """Run one configured command; returns (exit code, report document)."""
     if args.command not in _COMMANDS:
         raise ValueError(f"unknown command {args.command!r}")
-    if not args.tol > 0.0:
-        raise ValueError("tolerance must be positive")
     return _COMMANDS[args.command](args)
 
 
@@ -167,15 +170,13 @@ def dispatch(args: argparse.Namespace) -> tuple[int, object]:
 # Serialisation and argument parsing
 # ---------------------------------------------------------------------------
 
-def _to_csv(doc: object) -> str:
-    if isinstance(doc, dict) and "rows" in doc:
+def _to_csv(doc: dict) -> str:
+    if "rows" in doc:
         rows = doc["rows"]
-    elif isinstance(doc, dict) and "checks" in doc:
+    elif "checks" in doc:
         rows = doc["checks"]
-    elif isinstance(doc, dict):
-        rows = [doc]
     else:
-        rows = [{"result": doc}]
+        rows = [doc]
     if not rows:
         return ""
     columns = list(rows[0].keys())
@@ -192,8 +193,7 @@ def _to_csv(doc: object) -> str:
 
 
 def _write(doc: object, args: argparse.Namespace) -> None:
-    # witness documents are always JSON so reruns are byte-comparable
-    if args.format == "csv" and args.command != "witness":
+    if getattr(args, "format", "json") == "csv":
         text = _to_csv(doc)
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -217,37 +217,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quasi-arithmetic mean commutation: residual checks, "
         "witness search, randomized suites, and scalar diagnostics.",
     )
+    # the option groups that several commands share
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--f", help="generator JSON file for f")
+    pair.add_argument("--g", help="generator JSON file for g")
+    pair.add_argument("--space-x", dest="space_x", help="X space JSON file")
+    pair.add_argument("--space-y", dest="space_y", help="Y space JSON file")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--tol", type=float, default=1e-8, help="pass tolerance")
+    report.add_argument("--format", choices=["json", "csv"], default="json")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default stdout)")
+
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check", "evaluate the commutation residual for f, g, spaces, and h"),
-        ("witness", "search for a simple function on which f and g fail to commute"),
-        ("suite", "run both seeded commutation suites"),
-        ("phi", "emit scalar-reduction diagnostics for a pair"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--f", help="generator JSON file for f")
-        p.add_argument("--g", help="generator JSON file for g")
-        p.add_argument("--space-x", dest="space_x", help="X space JSON file")
-        p.add_argument("--space-y", dest="space_y", help="Y space JSON file")
-        p.add_argument("--h", help="simple-function JSON file (check only)")
-        p.add_argument("--grid", type=int, default=21, help="points per search axis")
-        p.add_argument("--range", dest="value_range", default="0.1:10",
-                       help="search value range LO:HI")
-        p.add_argument("--spacing", choices=["linear", "geometric"], default="geometric")
-        p.add_argument("--tol", type=float, default=1e-8, help="pass tolerance")
-        p.add_argument("--threshold", type=float, default=1e-4,
-                       help="witness residual threshold")
-        p.add_argument("--seed", type=int, default=42, help="suite RNG seed")
-        p.add_argument("--workers", type=int, default=1, help="search partitions")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    check = sub.add_parser("check", parents=[pair, report, out],
+                           help="evaluate the commutation residual for f, g, spaces, and h")
+    check.add_argument("--h", help="simple-function JSON file")
+    witness = sub.add_parser("witness", parents=[pair, out],
+                             help="search for a simple function on which f and g fail to commute")
+    witness.add_argument("--grid", type=int, default=21, help="points per search axis")
+    witness.add_argument("--range", dest="value_range", default="0.1:10",
+                         help="search value range LO:HI")
+    witness.add_argument("--spacing", choices=["linear", "geometric"], default="geometric")
+    witness.add_argument("--threshold", type=float, default=1e-4,
+                         help="witness residual threshold")
+    witness.add_argument("--workers", type=int, default=1, help="search partitions")
+    suite = sub.add_parser("suite", parents=[report, out],
+                           help="run both seeded commutation suites")
+    suite.add_argument("--seed", type=int, default=42, help="suite RNG seed")
+    sub.add_parser("phi", parents=[pair, report, out],
+                   help="emit scalar-reduction diagnostics for a pair")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.value_range = _parse_range(args.value_range)
         code, doc = dispatch(args)
     except RangeError as exc:
         stage = f" [stage: {exc.stage}]" if exc.stage else ""

@@ -55,6 +55,8 @@ __all__ = [
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL_TOL = 1e-12
+# points of the sample grid on which the admissibility and equivalence checks run
+_SAMPLE_COUNT = 17
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +465,7 @@ def validate_for_setting(gen: Generator, setting: MeanSetting) -> bool:
     the reals (checked on a sample grid).  FINITE_MEASURE additionally
     requires an open domain and a range of exactly (0, inf).
     """
-    xs = gen.domain.sample_points(17)
+    xs = gen.domain.sample_points(_SAMPLE_COUNT)
     vals = gen._eval_raw(xs)
     diffs = np.diff(vals)
     monotone = bool(np.all(diffs > 0)) or bool(np.all(diffs < 0))
@@ -476,24 +478,24 @@ def validate_for_setting(gen: Generator, setting: MeanSetting) -> bool:
     raise ValueError(f"unknown setting: {setting!r}")
 
 
-def _common_sample_grid(f: Generator, g: Generator, sample_count: int) -> np.ndarray:
+def _common_sample_grid(f: Generator, g: Generator) -> np.ndarray:
     common = f.domain.intersection(g.domain)
     if common is None:
         raise ValueError(
             f"domain mismatch: {f.describe()} and {g.describe()} share no interval"
         )
-    return common.sample_points(sample_count)
+    return common.sample_points(_SAMPLE_COUNT)
 
 
 def is_proportional(
-    f: Generator, g: Generator, sample_count: int = 17, tol: float = 1e-8
+    f: Generator, g: Generator, tol: float = 1e-8
 ) -> float | None:
     """Return c > 0 with f = c * g on a shared sample grid, or None.
 
     The candidate ratio is anchored at the sample where |g| is largest and
     then verified pointwise on the whole grid.
     """
-    xs = _common_sample_grid(f, g, sample_count)
+    xs = _common_sample_grid(f, g)
     fv = f.eval(xs)
     gv = g.eval(xs)
     anchor = int(np.argmax(np.abs(gv)))
@@ -509,14 +511,14 @@ def is_proportional(
 
 
 def is_affine_equivalent(
-    f: Generator, g: Generator, sample_count: int = 17, tol: float = 1e-8
+    f: Generator, g: Generator, tol: float = 1e-8
 ) -> tuple[float, float] | None:
     """Return (a, b) with f = a * g + b on a shared sample grid, or None.
 
     (a, b) is fitted from the two extreme samples and verified on all of
     them; g is injective, so the fit denominator cannot vanish.
     """
-    xs = _common_sample_grid(f, g, sample_count)
+    xs = _common_sample_grid(f, g)
     fv = f.eval(xs)
     gv = g.eval(xs)
     denom = gv[-1] - gv[0]

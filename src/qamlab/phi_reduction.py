@@ -83,14 +83,8 @@ class BlockScenario:
     w: float
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            m = getattr(self, name)
-            if not (m > 0.0) or not math.isfinite(m):
-                raise ValueError(f"block mass {name} must be a finite positive real")
-        for name in ("x", "y", "z", "w"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"block value {name} must be finite")
+        # building the grid and the matrix validates the masses and the values
+        self.to_grid_and_matrix()
 
     @property
     def masses(self) -> tuple[float, float, float, float]:
@@ -152,11 +146,8 @@ def phi_inverse_eval(f: Generator, g: Generator, t):
 
 def big_phi(f: Generator, g: Generator, alpha1: float, alpha2: float, x, y):
     """Phi(x, y) = phi^{-1}(alpha1*phi(x) + alpha2*phi(y)) on (0, inf)^2."""
-    _require_positive_pair(f, g)
     _check_positive(alpha1=alpha1, alpha2=alpha2)
-    px = f.eval(g.inverse(x))
-    py = f.eval(g.inverse(y))
-    return g.eval(f.inverse(alpha1 * px + alpha2 * py))
+    return phi_inverse_eval(f, g, alpha1 * phi_eval(f, g, x) + alpha2 * phi_eval(f, g, y))
 
 
 def _check_positive(**kwargs) -> None:
@@ -199,18 +190,10 @@ def phi_equation_residual(
     rhs = b1 phi^{-1}(a1 phi(s) + a2 phi(u)) + b2 phi^{-1}(a1 phi(t) + a2 phi(v))
 
     Applying g to both sides of the block identity gives exactly this, so
-    the two residuals vanish together.
+    the two residuals vanish together.  Both sides are those of the
+    weighted affinity of Phi at xvec = (s, u), yvec = (t, v).
     """
-    _require_positive_pair(f, g)
-    _check_positive(alpha1=alpha1, alpha2=alpha2, beta1=beta1, beta2=beta2,
-                    s=s, t=t, u=u, v=v)
-    phi = lambda q: f.eval(g.inverse(q))
-    phi_inv = lambda q: g.eval(f.inverse(q))
-    lhs = phi_inv(alpha1 * phi(beta1 * s + beta2 * t) + alpha2 * phi(beta1 * u + beta2 * v))
-    rhs = beta1 * phi_inv(alpha1 * phi(s) + alpha2 * phi(u)) + beta2 * phi_inv(
-        alpha1 * phi(t) + alpha2 * phi(v)
-    )
-    return ResidualReport.from_sides(lhs, rhs)
+    return jensen_affinity_residual(f, g, alpha1, alpha2, beta1, beta2, (s, u), (t, v))
 
 
 def jensen_affinity_residual(
@@ -368,13 +351,11 @@ def scaled_cauchy_residual(
     With (a, b) the coefficients of a genuine linear form for Phi this is
     an identity; with any other (a, b) it fails for generic (x, y).
     """
-    _require_positive_pair(f, g)
     _check_positive(x=x, y=y)
     if a < 0.0 or b < 0.0 or not a + b > 0.0:
         raise ValueError("coefficients must satisfy a, b >= 0 and a + b > 0")
-    phi = lambda q: f.eval(g.inverse(q))
-    lhs = alpha1 * phi(x) + alpha2 * phi(y)
-    rhs = phi(a * x + b * y)
+    lhs = alpha1 * phi_eval(f, g, x) + alpha2 * phi_eval(f, g, y)
+    rhs = phi_eval(f, g, a * x + b * y)
     return ResidualReport.from_sides(lhs, rhs)
 
 
@@ -391,12 +372,11 @@ def proportionality_extract(
     |phi(x + y) - phi(x) - phi(y)| <= tol * scale.  Both hold exactly when
     f = c*g.
     """
-    _require_positive_pair(f, g)
     if sample_grid is None:
         sample_grid = np.geomspace(0.1, 10.0, 17)
     ss = np.asarray(sample_grid, dtype=float)
     _check_positive(sample_grid=ss)
-    phi_vals = np.asarray(f.eval(g.inverse(ss)))
+    phi_vals = np.asarray(phi_eval(f, g, ss))
     ratios = phi_vals / ss
     c = float(np.median(ratios))
     if not math.isfinite(c) or c <= 0.0:
@@ -405,8 +385,8 @@ def proportionality_extract(
     if not np.all(np.abs(phi_vals - c * ss) <= tol * scale_):
         return None
     for x, y in zip(ss[:-1], ss[1:]):
-        total = f.eval(g.inverse(x + y))
-        parts = f.eval(g.inverse(x)) + f.eval(g.inverse(y))
+        total = phi_eval(f, g, x + y)
+        parts = phi_eval(f, g, x) + phi_eval(f, g, y)
         if abs(total - parts) > tol * max(1.0, abs(total), abs(parts)):
             return None
     return c
@@ -434,86 +414,40 @@ def run_diagnostics(
     _require_positive_pair(f, g)
     rows: list[dict] = []
 
-    def add(check: str, inputs: dict, report: ResidualReport | None, ok: bool | None = None):
-        row: dict = {"check": check, "inputs": inputs}
-        if report is not None:
-            row.update(report.to_dict())
-            row["pass"] = report.passes(tol)
-        else:
-            row.update({"lhs": None, "rhs": None, "abs_residual": None, "rel_residual": None})
-            row["pass"] = bool(ok)
-        rows.append(row)
+    def add(check: str, inputs: dict, ok, lhs=None, rhs=None, abs_residual=None,
+            rel_residual=None) -> None:
+        rows.append({"check": check, "inputs": inputs, "lhs": lhs, "rhs": rhs,
+                     "abs_residual": abs_residual, "rel_residual": rel_residual,
+                     "pass": bool(ok)})
+
+    def add_report(check: str, inputs: dict, report: ResidualReport) -> None:
+        add(check, inputs, report.passes(tol), **report.to_dict())
 
     masses = {"alpha1": alpha1, "alpha2": alpha2, "beta1": beta1, "beta2": beta2}
-    stuv = (1.0, 4.0, 9.0, 16.0)
-    add(
-        "four_point_equation",
-        {**masses, "s": stuv[0], "t": stuv[1], "u": stuv[2], "v": stuv[3]},
-        phi_equation_residual(f, g, alpha1, alpha2, beta1, beta2, *stuv),
-    )
+    pair_masses = {"alpha1": alpha1, "alpha2": alpha2}
+    add_report("four_point_equation", {**masses, "s": 1.0, "t": 4.0, "u": 9.0, "v": 16.0},
+               phi_equation_residual(f, g, alpha1, alpha2, beta1, beta2, 1.0, 4.0, 9.0, 16.0))
     xvec, yvec = (1.0, 9.0), (4.0, 16.0)
-    add(
-        "weighted_affinity",
-        {**masses, "xvec": list(xvec), "yvec": list(yvec)},
-        jensen_affinity_residual(f, g, alpha1, alpha2, beta1, beta2, xvec, yvec),
-    )
-    add(
-        "homogeneity",
-        {"alpha1": alpha1, "alpha2": alpha2, "beta": 0.5, "xvec": list(xvec)},
-        beta_homogeneity_residual(f, g, alpha1, alpha2, 0.5, xvec),
-    )
-    add(
-        "additivity",
-        {"alpha1": alpha1, "alpha2": alpha2, "xvec": [1.0, 4.0], "yvec": [4.0, 1.0]},
-        additivity_residual(f, g, alpha1, alpha2, (1.0, 4.0), (4.0, 1.0)),
-    )
+    add_report("weighted_affinity", {**masses, "xvec": list(xvec), "yvec": list(yvec)},
+               jensen_affinity_residual(f, g, alpha1, alpha2, beta1, beta2, xvec, yvec))
+    add_report("homogeneity", {**pair_masses, "beta": 0.5, "xvec": list(xvec)},
+               beta_homogeneity_residual(f, g, alpha1, alpha2, 0.5, xvec))
+    add_report("additivity", {**pair_masses, "xvec": [1.0, 4.0], "yvec": [4.0, 1.0]},
+               additivity_residual(f, g, alpha1, alpha2, (1.0, 4.0), (4.0, 1.0)))
     fit = linear_form_fit(f, g, alpha1, alpha2, tol=tol)
-    rows.append(
-        {
-            "check": "linear_form_fit",
-            "inputs": {"alpha1": alpha1, "alpha2": alpha2, "grid": "geometric 9x9 on [0.1, 10]^2"},
-            "lhs": None if fit is None else fit.a,
-            "rhs": None if fit is None else fit.b,
-            "abs_residual": None if fit is None else fit.max_fit_residual,
-            "rel_residual": None if fit is None else fit.max_fit_residual,
-            "pass": fit is not None,
-        }
-    )
+    fit_sides = () if fit is None else (fit.a, fit.b, fit.max_fit_residual, fit.max_fit_residual)
+    add("linear_form_fit", {**pair_masses, "grid": "geometric 9x9 on [0.1, 10]^2"},
+        fit is not None, *fit_sides)
     ca, cb = (fit.a, fit.b) if fit is not None else (alpha1, alpha2)
-    add(
-        "scaled_additive_equation",
-        {"alpha1": alpha1, "alpha2": alpha2, "a": ca, "b": cb, "x": 1.0, "y": 4.0},
-        scaled_cauchy_residual(f, g, alpha1, alpha2, ca, cb, 1.0, 4.0),
-    )
+    add_report("scaled_additive_equation", {**pair_masses, "a": ca, "b": cb, "x": 1.0, "y": 4.0},
+               scaled_cauchy_residual(f, g, alpha1, alpha2, ca, cb, 1.0, 4.0))
     mono_pairs = [((0.5, 0.5), (1.0, 0.5)), ((1.0, 1.0), (1.0, 2.0)), ((2.0, 3.0), (5.0, 7.0))]
-    add(
-        "product_order_monotonicity",
-        {"alpha1": alpha1, "alpha2": alpha2, "pairs": mono_pairs},
-        None,
-        ok=phi_monotone_check(f, g, alpha1, alpha2, mono_pairs),
-    )
+    add("product_order_monotonicity", {**pair_masses, "pairs": mono_pairs},
+        phi_monotone_check(f, g, alpha1, alpha2, mono_pairs))
     seq = phi_origin_limit(f, g, alpha1, alpha2, 1000)
-    rows.append(
-        {
-            "check": "origin_limit",
-            "inputs": {"alpha1": alpha1, "alpha2": alpha2, "n_max": 1000},
-            "lhs": float(seq[0]),
-            "rhs": float(seq[-1]),
-            "abs_residual": None,
-            "rel_residual": None,
-            "pass": bool(np.all(np.diff(seq) < 0.0) and seq[-1] < 0.5 * seq[0]),
-        }
-    )
+    add("origin_limit", {**pair_masses, "n_max": 1000},
+        np.all(np.diff(seq) < 0.0) and seq[-1] < 0.5 * seq[0], float(seq[0]), float(seq[-1]))
     c = proportionality_extract(f, g, tol=tol)
-    rows.append(
-        {
-            "check": "proportionality_extract",
-            "inputs": {"grid": "geometric 17 points on [0.1, 10]"},
-            "lhs": c,
-            "rhs": None,
-            "abs_residual": None,
-            "rel_residual": None,
-            "pass": c is not None,
-        }
-    )
+    add("proportionality_extract", {"grid": "geometric 17 points on [0.1, 10]"},
+        c is not None, c)
     return rows

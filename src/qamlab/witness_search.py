@@ -25,7 +25,7 @@ import json
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -34,7 +34,6 @@ from .errors import DomainError, RangeError
 from .generators import Generator, masked_eval, masked_inverse
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .means import SimpleFunctionMatrix, commutation_residual, mixed_means
-from .phi_reduction import BlockScenario, block_scenario_residual
 from .residuals import ResidualReport
 
 __all__ = [
@@ -52,6 +51,8 @@ MAX_FULL_SEARCH_EVALS = 10_000_000
 BATCH_SIZE = 65536
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# half-width of a refinement bracket, relative to max(1, |value|)
+_STEP_FRACTION = 0.25
 # accept a refinement step only if it beats the incumbent by more than noise
 _IMPROVEMENT_MARGIN = 1e-15
 
@@ -178,6 +179,29 @@ def _search(sides, total: int, batch: int, threshold: float, workers: int):
     return (best_idx if best_val > threshold else None), skipped
 
 
+def _decode(indices, pts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Value matrices of flat candidate indices: their base-``pts.size`` digits."""
+    radix = pts.size ** np.arange(shape[0] * shape[1] - 1, -1, -1, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    return pts[(indices[..., None] // radix) % pts.size].reshape(indices.shape + shape)
+
+
+def _matrix_witness(f, g, spaces, pts, best_idx, skipped) -> Witness | None:
+    """The candidate at ``best_idx``, reported through ``commutation_residual``."""
+    if best_idx is None:
+        return None
+    space_x, space_y = spaces
+    matrix = SimpleFunctionMatrix(_decode(best_idx, pts, (len(space_x), len(space_y))))
+    report = commutation_residual(f, g, ProductGrid(space_x, space_y), matrix)
+    return Witness(
+        kind="matrix",
+        masses=(tuple(float(w) for w in space_x.weights), tuple(float(w) for w in space_y.weights)),
+        values=tuple(tuple(float(v) for v in row) for row in matrix.values),
+        report=report,
+        skipped_points=skipped,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Block search
 # ---------------------------------------------------------------------------
@@ -200,9 +224,8 @@ def block_witness_search(
     Grid points whose evaluation leaves a generator's domain or range are
     skipped and counted, not fatal.
     """
-    for name, m in (("alpha1", alpha1), ("alpha2", alpha2), ("beta1", beta1), ("beta2", beta2)):
-        if not (m > 0.0 and math.isfinite(m)):
-            raise ValueError(f"mass {name} must be a finite positive real")
+    # building the two spaces validates the masses
+    spaces = (DiscreteMeasureSpace([alpha1, alpha2]), DiscreteMeasureSpace([beta1, beta2]))
     pts = _grid_points(grid, f, g)
     npts = pts.size
 
@@ -224,24 +247,12 @@ def block_witness_search(
         return lhs, rhs
 
     best_idx, skipped = _search(sides, npts**4, npts**3, threshold, workers)
-    if best_idx is None:
+    witness = _matrix_witness(f, g, spaces, pts, best_idx, skipped)
+    if witness is None:
         return None
-
-    xi, rem = divmod(best_idx, npts**3)
-    yi, rem = divmod(rem, npts**2)
-    zi, wi = divmod(rem, npts)
-    scenario = BlockScenario(
-        alpha1, alpha2, beta1, beta2,
-        float(pts[xi]), float(pts[yi]), float(pts[zi]), float(pts[wi]),
-    )
-    report = block_scenario_residual(f, g, scenario)
-    return Witness(
-        kind="block",
-        masses=(alpha1, alpha2, beta1, beta2),
-        values=scenario.block_values,
-        report=report,
-        skipped_points=skipped,
-    )
+    # the block layout: masses as passed, values (x, y, z, w) row by row
+    return replace(witness, kind="block", masses=(alpha1, alpha2, beta1, beta2),
+                   values=witness.values[0] + witness.values[1])
 
 
 # ---------------------------------------------------------------------------
@@ -268,38 +279,21 @@ def full_witness_search(
     if len(space_x) != m or len(space_y) != n:
         raise ValueError(f"spaces of sizes {(len(space_x), len(space_y))} do not match shape {(m, n)}")
     pts = _grid_points(value_grid, f, g)
-    npts = pts.size
-    cells = m * n
-    total = npts**cells
+    total = pts.size ** (m * n)
     if total > MAX_FULL_SEARCH_EVALS:
         raise ValueError(
-            f"search budget exceeded: {npts}^{cells} = {total} > {MAX_FULL_SEARCH_EVALS}"
+            f"search budget exceeded: {pts.size}^{m * n} = {total} > {MAX_FULL_SEARCH_EVALS}"
         )
-    wx = space_x.weights
-    wy = space_y.weights
-    radix = npts ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+    wx, wy = space_x.weights, space_y.weights
 
     def sides(start: int, stop: int):
-        digits = (np.arange(start, stop, dtype=np.int64)[:, None] // radix) % npts
-        lhs, _, rhs, _ = mixed_means(f, g, wx, wy, pts[digits].reshape(stop - start, m, n))
+        lhs, _, rhs, _ = mixed_means(f, g, wx, wy, _decode(np.arange(start, stop), pts, (m, n)))
         return lhs, rhs
 
     # small enough that every worker gets a batch
     batch = min(BATCH_SIZE, -(-total // max(1, workers)))
     best_idx, skipped = _search(sides, total, batch, threshold, workers)
-    if best_idx is None:
-        return None
-
-    digits = (best_idx // radix) % npts
-    matrix = SimpleFunctionMatrix(pts[digits].reshape(m, n))
-    report = commutation_residual(f, g, ProductGrid(space_x, space_y), matrix)
-    return Witness(
-        kind="matrix",
-        masses=(tuple(float(w) for w in wx), tuple(float(w) for w in wy)),
-        values=tuple(tuple(float(v) for v in row) for row in matrix.values),
-        report=report,
-        skipped_points=skipped,
-    )
+    return _matrix_witness(f, g, spaces, pts, best_idx, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +305,6 @@ def refine_witness(
     g: Generator,
     start: Witness,
     iterations: int,
-    step_fraction: float = 0.25,
 ) -> Witness:
     """Coordinate-wise golden-section ascent of the residual from a witness.
 
@@ -349,7 +342,7 @@ def refine_witness(
     for _ in range(iterations):
         for idx in range(len(coords)):
             v = coords[idx]
-            delta = step_fraction * max(1.0, abs(v))
+            delta = _STEP_FRACTION * max(1.0, abs(v))
             lo, hi = v - delta, v + delta
             if math.isfinite(common.lower) and lo <= common.lower:
                 lo = 0.5 * (v + common.lower)

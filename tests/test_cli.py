@@ -215,3 +215,47 @@ class TestSuiteAndPhi:
     def test_missing_required_inputs(self, docs):
         assert main(["check", "--f", docs["exp1"]]) == 2
         assert main(["phi", "--f", docs["exp1"]]) == 2
+
+
+class TestOptionsByCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--workers", "2"],
+            ["witness", "--format", "csv"],
+            ["witness", "--tol", "1e-3"],
+            ["check", "--grid", "5"],
+            ["phi", "--threshold", "1e-3"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_option_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    @pytest.mark.parametrize("command", ["check", "suite", "phi"])
+    def test_non_positive_tolerance_is_malformed_input(self, docs, capsys, command, tol):
+        argv = {
+            "check": ["check", "--f", docs["exp1"], "--g", docs["exp2"], "--space-x", docs["unit2"],
+                      "--space-y", docs["unit2"], "--h", docs["h"]],
+            "suite": ["suite"],
+            "phi": ["phi", "--f", docs["exp1"], "--g", docs["exp2"]],
+        }[command]
+        assert main([*argv, "--tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_malformed_range_is_malformed_input(self, docs, capsys):
+        code = main(
+            ["witness", "--f", docs["exp1"], "--g", docs["exp2"],
+             "--space-x", docs["unit2"], "--space-y", docs["unit2"], "--range", "1"]
+        )
+        assert code == 2
+        assert "--range" in capsys.readouterr().err
+
+    def test_phi_csv_columns_are_the_row_keys(self, docs, capsys):
+        assert main(["phi", "--f", docs["exp1"], "--g", docs["exp2"], "--format", "csv"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == "check,inputs,lhs,rhs,abs_residual,rel_residual,pass"

@@ -23,6 +23,7 @@ from qamlab import (
     phi_monotone_check,
     phi_origin_limit,
     proportionality_extract,
+    run_diagnostics,
     scale,
     scaled_cauchy_residual,
 )
@@ -396,3 +397,26 @@ class TestProportionalityExtract:
     def test_sqrt_phi_rejected(self):
         f, g = SQRT_PAIR
         assert proportionality_extract(f, g) is None
+
+
+class TestDiagnosticRows:
+    # ``qamlab phi --format csv`` takes its columns from the first row's keys
+    KEYS = ["check", "inputs", "lhs", "rhs", "abs_residual", "rel_residual", "pass"]
+
+    @pytest.mark.parametrize(
+        "f, g, fit_accepted",
+        [
+            (scale(ExpGenerator(1.0), 3.0), ExpGenerator(1.0), True),
+            (ExpGenerator(1.0), ExpGenerator(2.0), False),
+        ],
+        ids=["fit-accepted", "fit-rejected"],
+    )
+    def test_every_row_has_the_same_keys_in_order(self, f, g, fit_accepted):
+        rows = run_diagnostics(f, g)
+        assert len(rows) == 9
+        for row in rows:
+            assert list(row) == self.KEYS
+            assert type(row["pass"]) is bool
+        fit = next(row for row in rows if row["check"] == "linear_form_fit")
+        assert fit["pass"] is fit_accepted
+        assert (fit["lhs"] is None) is not fit_accepted
