@@ -113,7 +113,7 @@ class Interval:
             return None
         return Interval(lo, hi, lo_open, hi_open)
 
-    def sample_points(self, n: int = 17) -> np.ndarray:
+    def sample_points(self, n: int = _SAMPLE_COUNT) -> np.ndarray:
         """Deterministic interior sample grid with n points."""
         if n < 2:
             raise ValueError("need at least 2 sample points")

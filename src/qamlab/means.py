@@ -13,10 +13,10 @@ the g-means over Y, and the rhs is the same nested mean computed with
 (g, f, wy, wx, H^T).  H^T is copied into a contiguous array, so every
 integral sums a contiguous last axis in the order of
 ``DiscreteMeasureSpace.integrate`` and the kernel agrees bit for bit with
-nested ``qam`` calls.  The witness searches and the randomized suites
-feed it whole batches, the suites with masses per case;
-``lhs_mixed_mean``, ``rhs_mixed_mean`` and ``commutation_residual`` are
-batches of one.
+nested ``qam`` calls.  The randomized suites feed it whole batches with
+masses per case, and the witness searches build their tables with its
+``_masked_mean``; ``lhs_mixed_mean``, ``rhs_mixed_mean`` and
+``commutation_residual`` are batches of one.
 
 Note that without unit total mass the mean is not internal: for weights
 (1, 2) and exp, the constant function 0 has mean ln(3), not 0.  Outside

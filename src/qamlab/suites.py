@@ -121,7 +121,13 @@ def _run_cases(
 
     result = SuiteResult(name=name, tolerance=tol)
     worst = 0.0
+    # consecutive cases share their spaces: format each mass array once,
+    # by id, which stays unique while ``cases`` holds every array
+    texts = {}
     for case_id, ((f, g, wx, wy, _), (lhs, rhs)) in enumerate(zip(cases, sides)):
+        for w in (wx, wy):
+            if id(w) not in texts:
+                texts[id(w)] = ";".join(f"{v:.6g}" for v in w)
         report = ResidualReport.from_sides(lhs, rhs)
         worst = max(worst, report.rel_residual)
         result.rows.append(
@@ -130,8 +136,8 @@ def _run_cases(
                 "case": case_id,
                 "f": f.describe(),
                 "g": g.describe(),
-                "masses_x": ";".join(f"{w:.6g}" for w in wx),
-                "masses_y": ";".join(f"{w:.6g}" for w in wy),
+                "masses_x": texts[id(wx)],
+                "masses_y": texts[id(wy)],
                 "lhs": report.lhs,
                 "rhs": report.rhs,
                 "abs_residual": report.abs_residual,

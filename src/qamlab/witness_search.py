@@ -7,15 +7,20 @@ family is searched first (it is the minimal sufficient test class), with
 a full matrix search available for independent confirmation at small
 shapes.
 
-Both searches run one loop: the flat candidate range is cut into batches
-(one x value of the block search, up to ``BATCH_SIZE`` matrices of the
-full search), the batches are partitioned across workers, each batch
-reports its maximum together with the smallest flat index attaining it,
-and the merge walks the batches in index order keeping the first global
-maximum, so the result is independent of the schedule and of the worker
-count.  The full search evaluates each batch with the ``mixed_means``
-kernel; the block search factors the kernel through the inner means of
-every value pair, computed once, so no array it builds exceeds n^3.
+Both searches run one table evaluator.  Candidate k of an m x n search
+holds the grid points of the base-p digits of k, row by row.  A row's
+inner g-mean over Y depends on that row alone, so f of the inner mean of
+every possible row is one table of p^n entries, and g of the inner f-mean
+over X of every column one table of p^m; both come from the kernel's
+``_masked_mean``.  A batch fixes the leading digits and spans the cube of
+the trailing ones, at most ``BATCH_SIZE`` candidates.  Its lhs is f^-1 of
+the weighted sum of the row table over the rows, and its rhs g^-1 of that
+of the column table over the columns, each a broadcast of table slices.
+The sides equal ``mixed_means`` bit for bit only because every weighted
+sum adds its terms in the order of ``np.sum`` (see ``_weighted_sum``).
+The batches are split into one contiguous run per worker, and the merge
+walks them in index order keeping the smallest index of the largest
+residual, so the result does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from .errors import DomainError, RangeError
 from .generators import Generator, masked_eval, masked_inverse
 from .measure_space import DiscreteMeasureSpace, ProductGrid
-from .means import SimpleFunctionMatrix, commutation_residual, mixed_means
+from .means import SimpleFunctionMatrix, _masked_mean, commutation_residual
 from .residuals import ResidualReport
 
 __all__ = [
@@ -47,8 +52,8 @@ __all__ = [
 ]
 
 MAX_FULL_SEARCH_EVALS = 10_000_000
-# candidates per batch of the full matrix search
-BATCH_SIZE = 65536
+# most candidates, or grid values of table rows, evaluated in one batch
+BATCH_SIZE = 2**18
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # half-width of a refinement bracket, relative to max(1, |value|)
@@ -123,7 +128,7 @@ class Witness:
 
 
 # ---------------------------------------------------------------------------
-# The search loop shared by both searches
+# The table evaluator and the search loop shared by both searches
 # ---------------------------------------------------------------------------
 
 def _grid_points(grid, f: Generator, g: Generator) -> np.ndarray:
@@ -135,35 +140,106 @@ def _grid_points(grid, f: Generator, g: Generator) -> np.ndarray:
     return pts
 
 
-def _rel_residuals(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relative residuals with invalid entries set to -1; returns skip count."""
-    valid = np.isfinite(lhs) & np.isfinite(rhs)
-    skipped = int(lhs.size - np.count_nonzero(valid))
-    denom = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    with np.errstate(invalid="ignore"):
-        rel = np.abs(lhs - rhs) / denom
-    return np.where(valid, rel, -1.0), skipped
+def _tuple_means(outer: Generator, inner: Generator, weights: np.ndarray, pts: np.ndarray):
+    """``outer`` of the ``inner``-mean of every ``weights.size``-tuple of grid points.
+
+    The table has one axis per tuple entry, so its C order is index order.
+    """
+    shape = (pts.size,) * weights.size
+    table = np.empty(math.prod(shape))
+    step = max(1, BATCH_SIZE // weights.size)
+    for start in range(0, table.size, step):
+        digits = np.unravel_index(np.arange(start, min(start + step, table.size)), shape)
+        with np.errstate(all="ignore"):
+            means = _masked_mean(inner, weights, pts[np.stack(digits, axis=-1)])
+            table[start:start + step] = masked_eval(outer, means)
+    return table.reshape(shape)
 
 
-def _search(sides, total: int, batch: int, threshold: float, workers: int):
-    """Flat index of the candidate with the largest relative residual, and skips.
+def _weighted_sum(weights: np.ndarray, terms: list) -> np.ndarray:
+    """``sum_k weights[k] * terms[k]``, broadcast, added in the order of ``np.sum``.
 
-    ``sides(start, stop)`` returns both means of candidates start..stop-1.
-    The batches of ``batch`` candidates are split into one contiguous run
-    per worker; the index is None unless the maximum exceeds ``threshold``.
+    The branch is there for bit-identity with the kernel, not for speed.
+    Over a contiguous last axis ``np.sum`` adds fewer than 8 terms one by
+    one from 0.0, as the chain does; from 8 on it adds pairwise, which
+    only ``np.sum`` over the stacked terms repeats.  The stack would be
+    bit-identical at every length, but costs far more than the chain.
+    """
+    products = [w * t for w, t in zip(weights, terms)]
+    if len(products) >= 8:
+        return np.sum(np.stack(np.broadcast_arrays(*products), axis=-1), axis=-1)
+    total = 0.0
+    for product in products:
+        total = total + product
+    return total
+
+
+def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts: np.ndarray):
+    """Both means of every value matrix of shape (wx.size, wy.size) on the grid.
+
+    Candidate k holds the grid points of the base-``pts.size`` digits of k,
+    row by row.  Returns ``(sides, total, batch)``: ``sides(start)`` gives
+    the lhs and rhs of the ``batch`` candidates from ``start``.
+    """
+    m, n, npts = wx.size, wy.size, pts.size
+    # at least one leading digit, so that workers can share the batches,
+    # except for 1x1, whose batches would be single candidates
+    digits, lead = m * n, min(1, m * n - 1)
+    while npts ** (digits - lead) > BATCH_SIZE:
+        lead += 1
+    batch = npts ** (digits - lead)
+    # f of the inner g-mean over Y of every row, g of the inner f-mean over
+    # X of every column
+    row_table, col_table = _tuple_means(f, g, wy, pts), _tuple_means(g, f, wx, pts)
+    rows = [range(i * n, (i + 1) * n) for i in range(m)]
+    cols = [range(j, digits, n) for j in range(n)]
+
+    def side(gen, table, weights, groups, prefix):
+        # the entry of each row (column) over the cube of the digits after the prefix
+        terms = [table[tuple(prefix[q] for q in group if q < lead)].reshape(
+            [npts if q in group else 1 for q in range(lead, digits)]) for group in groups]
+        with np.errstate(all="ignore"):
+            return masked_inverse(gen, _weighted_sum(weights, terms))
+
+    def sides(start: int):
+        prefix = np.unravel_index(start // batch, (npts,) * lead)
+        return side(f, row_table, wx, rows, prefix), side(g, col_table, wy, cols, prefix)
+
+    return sides, npts**digits, batch
+
+
+def _decode(indices, pts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Value matrices of flat candidate indices: their base-``pts.size`` digits."""
+    radix = pts.size ** np.arange(shape[0] * shape[1] - 1, -1, -1, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    return pts[(indices[..., None] // radix) % pts.size].reshape(indices.shape + shape)
+
+
+def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness | None:
+    """The value matrix on the spaces with the largest relative residual, if above threshold.
+
+    The winner is reported through ``commutation_residual``.
     """
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be a finite positive real, got {threshold}")
+    space_x, space_y = spaces
+    sides, total, batch = _table_sides(f, g, space_x.weights, space_y.weights, pts)
 
     def best_in(start: int):
-        lhs, rhs = sides(start, min(start + batch, total))
-        rel, skipped = _rel_residuals(lhs.ravel(), rhs.ravel())
+        lhs, rhs = (np.ravel(side) for side in sides(start))
+        valid = np.isfinite(lhs) & np.isfinite(rhs)
+        denom = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        with np.errstate(invalid="ignore"):
+            # a skipped candidate gets -1, below every residual
+            rel = np.where(valid, np.abs(lhs - rhs) / denom, -1.0)
         local = int(np.argmax(rel))
-        return float(rel[local]), start + local, skipped
+        return float(rel[local]), start + local, int(lhs.size - np.count_nonzero(valid))
 
     def chunk(starts: np.ndarray):
         return [best_in(int(start)) for start in starts]
 
+    # one contiguous run of batches per worker; one run stays in this
+    # thread, so that an interrupt stops it
     parts = [p for p in np.array_split(np.arange(0, total, batch), max(1, workers)) if p.size]
     if len(parts) == 1:
         results = [chunk(parts[0])]
@@ -176,28 +252,14 @@ def _search(sides, total: int, batch: int, threshold: float, workers: int):
         skipped += skip
         if val > best_val:
             best_val, best_idx = val, idx
-    return (best_idx if best_val > threshold else None), skipped
-
-
-def _decode(indices, pts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Value matrices of flat candidate indices: their base-``pts.size`` digits."""
-    radix = pts.size ** np.arange(shape[0] * shape[1] - 1, -1, -1, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    return pts[(indices[..., None] // radix) % pts.size].reshape(indices.shape + shape)
-
-
-def _matrix_witness(f, g, spaces, pts, best_idx, skipped) -> Witness | None:
-    """The candidate at ``best_idx``, reported through ``commutation_residual``."""
-    if best_idx is None:
+    if not best_val > threshold:
         return None
-    space_x, space_y = spaces
     matrix = SimpleFunctionMatrix(_decode(best_idx, pts, (len(space_x), len(space_y))))
-    report = commutation_residual(f, g, ProductGrid(space_x, space_y), matrix)
     return Witness(
         kind="matrix",
         masses=(tuple(float(w) for w in space_x.weights), tuple(float(w) for w in space_y.weights)),
         values=tuple(tuple(float(v) for v in row) for row in matrix.values),
-        report=report,
+        report=commutation_residual(f, g, ProductGrid(space_x, space_y), matrix),
         skipped_points=skipped,
     )
 
@@ -226,28 +288,7 @@ def block_witness_search(
     """
     # building the two spaces validates the masses
     spaces = (DiscreteMeasureSpace([alpha1, alpha2]), DiscreteMeasureSpace([beta1, beta2]))
-    pts = _grid_points(grid, f, g)
-    npts = pts.size
-
-    with np.errstate(all="ignore"):
-        gv, fv = masked_eval(g, pts), masked_eval(f, pts)
-        # f of the inner Y-mean (i, j) and g of the inner X-mean (i, k) of
-        # every value pair, computed once
-        f_inner_y = masked_eval(f, masked_inverse(g, beta1 * gv[:, None] + beta2 * gv[None, :]))
-        g_inner_x = masked_eval(g, masked_inverse(f, alpha1 * fv[:, None] + alpha2 * fv[None, :]))
-
-    def sides(start: int, stop: int):
-        # one batch is one x: the (y, z, w) cube of candidates
-        x = start // npts**3
-        with np.errstate(all="ignore"):
-            lhs = masked_inverse(
-                f, alpha1 * f_inner_y[x, :, None, None] + alpha2 * f_inner_y[None, :, :])
-            rhs = masked_inverse(
-                g, beta1 * g_inner_x[x, None, :, None] + beta2 * g_inner_x[:, None, :])
-        return lhs, rhs
-
-    best_idx, skipped = _search(sides, npts**4, npts**3, threshold, workers)
-    witness = _matrix_witness(f, g, spaces, pts, best_idx, skipped)
+    witness = _table_search(f, g, spaces, _grid_points(grid, f, g), threshold, workers)
     if witness is None:
         return None
     # the block layout: masses as passed, values (x, y, z, w) row by row
@@ -284,16 +325,7 @@ def full_witness_search(
         raise ValueError(
             f"search budget exceeded: {pts.size}^{m * n} = {total} > {MAX_FULL_SEARCH_EVALS}"
         )
-    wx, wy = space_x.weights, space_y.weights
-
-    def sides(start: int, stop: int):
-        lhs, _, rhs, _ = mixed_means(f, g, wx, wy, _decode(np.arange(start, stop), pts, (m, n)))
-        return lhs, rhs
-
-    # small enough that every worker gets a batch
-    batch = min(BATCH_SIZE, -(-total // max(1, workers)))
-    best_idx, skipped = _search(sides, total, batch, threshold, workers)
-    return _matrix_witness(f, g, spaces, pts, best_idx, skipped)
+    return _table_search(f, g, spaces, pts, threshold, workers)
 
 
 # ---------------------------------------------------------------------------

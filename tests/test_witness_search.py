@@ -16,9 +16,11 @@ from qamlab import (
     block_witness_search,
     commutation_residual,
     full_witness_search,
+    mixed_means,
     refine_witness,
     scale,
 )
+from qamlab.witness_search import _decode, _table_sides
 
 LN2, LN3, LN4 = math.log(2.0), math.log(3.0), math.log(4.0)
 ANCHOR_GRID = [0.0, LN2, LN3, LN4]
@@ -263,3 +265,82 @@ class TestWitnessJson:
         assert doc["kind"] == "matrix"
         assert doc["masses"] == [[1.0, 2.0], [1.0, 1.0]]
         assert len(doc["values"]) == 2 and len(doc["values"][0]) == 2
+
+
+class TestTableEvaluator:
+    """Both searches' table evaluator against a brute force over ``mixed_means``.
+
+    The reference decodes every candidate and runs it through the kernel,
+    so it shares no table, slice or sum with the evaluator.  9x1 and 2x9
+    put the lhs, then the rhs, past the 8 terms from which numpy sums
+    pairwise.
+    """
+
+    SHIFTED = (affine(ExpGenerator(1.0), 1.0, 1.0), ExpGenerator(1.0))
+    CASES = {
+        "exp-2x2": ((ExpGenerator(1.0), ExpGenerator(2.0)), [0.7, 1.3], [1.1, 0.6],
+                    GridSpec(6, (0.1, 10.0))),
+        "exp-power-2x3": ((ExpGenerator(1.0), PowerGenerator(2.0)), [0.8, 1.5], [0.6, 1.2, 0.9],
+                          GridSpec(4, (0.1, 10.0))),
+        "power-3x2": ((PowerGenerator(2.0), PowerGenerator(-1.0)), [0.5, 1.0, 2.0], [1.5, 0.4],
+                      GridSpec(4, (0.1, 10.0))),
+        "shifted-2x2": (SHIFTED, [0.3, 0.3], [0.3, 0.3], GridSpec(9, (0.05, 2.0))),
+        "shifted-2x3": (SHIFTED, [0.2, 0.2], [0.2, 0.2, 0.2], GridSpec(5, (0.05, 2.0))),
+        "shifted-3x2": (SHIFTED, [0.2, 0.2, 0.2], [0.2, 0.2], GridSpec(5, (0.05, 2.0))),
+        "exp-9x1": ((ExpGenerator(-1.0), ExpGenerator(-2.0)),
+                    [0.3, 1.7, 0.9, 1.1, 0.5, 2.0, 0.8, 1.3, 0.6], [1.4],
+                    GridSpec(3, (0.2, 5.0))),
+        "exp-2x9": ((ExpGenerator(1.0), ExpGenerator(2.0)), [0.9, 1.6],
+                    [0.3, 1.7, 0.9, 1.1, 0.5, 2.0, 0.8, 1.3, 0.6], GridSpec(2, (0.2, 5.0))),
+        "exp-power-1x1": ((ExpGenerator(1.0), PowerGenerator(1.0)), [2.0], [3.0],
+                          GridSpec(21, (0.1, 10.0))),
+    }
+
+    @staticmethod
+    def brute_force(f, g, wx, wy, pts):
+        shape = (len(wx), len(wy))
+        total = pts.size ** (shape[0] * shape[1])
+        sides = [mixed_means(f, g, wx, wy, _decode(np.arange(s, min(s + 4096, total)), pts, shape))
+                 for s in range(0, total, 4096)]
+        lhs = np.concatenate([s[0] for s in sides])
+        rhs = np.concatenate([s[2] for s in sides])
+        valid = np.isfinite(lhs) & np.isfinite(rhs)
+        rel = np.full(total, -1.0)
+        rel[valid] = np.abs(lhs - rhs)[valid] / np.maximum(
+            1.0, np.maximum(np.abs(lhs), np.abs(rhs)))[valid]
+        return lhs, rhs, int(np.argmax(rel)), int(total - valid.sum())
+
+    @staticmethod
+    def assert_bitwise_equal(got, want):
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_candidate_matches_the_kernel(self, case):
+        (f, g), wx, wy, grid = self.CASES[case]
+        pts = grid.points()
+        wx, wy = np.asarray(wx), np.asarray(wy)
+        lhs, rhs, _, _ = self.brute_force(f, g, wx, wy, pts)
+
+        sides, total, batch = _table_sides(f, g, wx, wy, pts)
+        assert total == lhs.size and total % batch == 0
+        got = [sides(start) for start in range(0, total, batch)]
+        self.assert_bitwise_equal(np.concatenate([np.ravel(s[0]) for s in got]), lhs)
+        self.assert_bitwise_equal(np.concatenate([np.ravel(s[1]) for s in got]), rhs)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_searches_report_the_brute_force_argmax(self, case):
+        (f, g), wx, wy, grid = self.CASES[case]
+        pts = grid.points()
+        _, _, best, skipped = self.brute_force(f, g, np.asarray(wx), np.asarray(wy), pts)
+        want = _decode(best, pts, (len(wx), len(wy))).tolist()
+        spaces = (DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
+        for workers in (1, 4):
+            full = full_witness_search(f, g, (len(wx), len(wy)), spaces, grid, 1e-300, workers)
+            assert [list(row) for row in full.values] == want
+            assert full.skipped_points == skipped
+            if len(wx) == len(wy) == 2:
+                block = block_witness_search(f, g, *wx, *wy, grid, 1e-300, workers)
+                assert list(block.values) == want[0] + want[1]
+                assert block.skipped_points == skipped
