@@ -13,9 +13,11 @@ inner g-mean over Y depends on that row alone, so f of the inner mean of
 every possible row is one table of p^n entries, and g of the inner f-mean
 over X of every column one table of p^m; both come from the kernel's
 ``_masked_mean``.  A batch fixes the leading digits and spans the cube of
-the trailing ones, at most ``BATCH_SIZE`` candidates.  Its lhs is f^-1 of
-the weighted sum of the row table over the rows, and its rhs g^-1 of that
-of the column table over the columns, each a broadcast of table slices.
+the trailing ones, at most ``BATCH_SIZE`` candidates.  Its lhs is f^-1
+of the weighted sum of the row table over the rows, and its rhs g^-1 of
+that of the column table over the columns, each a broadcast of table
+slices.  When X or Y has one atom, the other side's table would hold one
+entry per candidate, so each batch builds its own part of it instead.
 The sides equal ``mixed_means`` bit for bit only because every weighted
 sum adds its terms in the order of ``np.sum`` (see ``_weighted_sum``).
 The batches are split into one contiguous run per worker, and the merge
@@ -140,20 +142,23 @@ def _grid_points(grid, f: Generator, g: Generator) -> np.ndarray:
     return pts
 
 
-def _tuple_means(outer: Generator, inner: Generator, weights: np.ndarray, pts: np.ndarray):
-    """``outer`` of the ``inner``-mean of every ``weights.size``-tuple of grid points.
+def _tuple_means(outer: Generator, inner: Generator, weights: np.ndarray, pts: np.ndarray,
+                 first: int = 0, count: int | None = None) -> np.ndarray:
+    """``outer`` of the ``inner``-mean of ``weights.size``-tuples of grid points.
 
-    The table has one axis per tuple entry, so its C order is index order.
+    Tuple k holds the grid points of the base-``pts.size`` digits of k;
+    the flat result covers tuples ``first`` to ``first + count``, by
+    default all of them.
     """
     shape = (pts.size,) * weights.size
-    table = np.empty(math.prod(shape))
+    table = np.empty(math.prod(shape) if count is None else count)
     step = max(1, BATCH_SIZE // weights.size)
     for start in range(0, table.size, step):
-        digits = np.unravel_index(np.arange(start, min(start + step, table.size)), shape)
+        digits = np.unravel_index(first + np.arange(start, min(start + step, table.size)), shape)
         with np.errstate(all="ignore"):
             means = _masked_mean(inner, weights, pts[np.stack(digits, axis=-1)])
             table[start:start + step] = masked_eval(outer, means)
-    return table.reshape(shape)
+    return table
 
 
 def _weighted_sum(weights: np.ndarray, terms: list) -> np.ndarray:
@@ -188,22 +193,32 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
     while npts ** (digits - lead) > BATCH_SIZE:
         lead += 1
     batch = npts ** (digits - lead)
+
+    def terms(outer, inner, weights, groups):
+        """The entry of each group (row or column) over the cube of a batch's trailing digits."""
+        if weights.size == digits:
+            # the other space has one atom, so the one group spans every digit
+            # and its table would be as large as the search: build each
+            # batch's part of it
+            cube = (npts,) * (digits - lead)
+            return lambda start: [_tuple_means(outer, inner, weights, pts, start, batch).reshape(cube)]
+        table = _tuple_means(outer, inner, weights, pts).reshape((npts,) * weights.size)
+
+        def lookup(start):
+            prefix = np.unravel_index(start // batch, (npts,) * lead)
+            return [table[tuple(prefix[q] for q in group if q < lead)].reshape(
+                [npts if q in group else 1 for q in range(lead, digits)]) for group in groups]
+        return lookup
+
     # f of the inner g-mean over Y of every row, g of the inner f-mean over
     # X of every column
-    row_table, col_table = _tuple_means(f, g, wy, pts), _tuple_means(g, f, wx, pts)
-    rows = [range(i * n, (i + 1) * n) for i in range(m)]
-    cols = [range(j, digits, n) for j in range(n)]
-
-    def side(gen, table, weights, groups, prefix):
-        # the entry of each row (column) over the cube of the digits after the prefix
-        terms = [table[tuple(prefix[q] for q in group if q < lead)].reshape(
-            [npts if q in group else 1 for q in range(lead, digits)]) for group in groups]
-        with np.errstate(all="ignore"):
-            return masked_inverse(gen, _weighted_sum(weights, terms))
+    row_terms = terms(f, g, wy, [range(i * n, (i + 1) * n) for i in range(m)])
+    col_terms = terms(g, f, wx, [range(j, digits, n) for j in range(n)])
 
     def sides(start: int):
-        prefix = np.unravel_index(start // batch, (npts,) * lead)
-        return side(f, row_table, wx, rows, prefix), side(g, col_table, wy, cols, prefix)
+        with np.errstate(all="ignore"):
+            return (masked_inverse(f, _weighted_sum(wx, row_terms(start))),
+                    masked_inverse(g, _weighted_sum(wy, col_terms(start))))
 
     return sides, npts**digits, batch
 

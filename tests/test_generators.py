@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from scipy.optimize import brentq
 from qamlab import (
     AffineGenerator,
     CodomainKind,
+    DiscreteMeasureSpace,
     DomainError,
     ExpGenerator,
     Generator,
+    GridSpec,
     IdentityGenerator,
     Interval,
     LogGenerator,
@@ -19,12 +22,15 @@ from qamlab import (
     PowerGenerator,
     RangeError,
     affine,
+    block_witness_search,
+    full_witness_search,
     generator_from_json,
     is_affine_equivalent,
     is_proportional,
     scale,
     validate_for_setting,
 )
+from qamlab.generators import _BISECT_ARRAY_MIN, _bisect_array, _bisect_scalar
 
 
 class TestEval:
@@ -106,6 +112,138 @@ class TestBisectionFallback:
         for y in (-3.0, 0.5, 10.0):
             oracle = brentq(lambda x: gen.eval(x) - y, -50.0, 50.0, xtol=1e-14)
             assert gen.inverse(y) == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+
+
+class _Bisecting(Generator):
+    """A generator written with ``_eval_raw`` only, so that it inverts by bisection."""
+
+    def __init__(self, name, fn, domain, codomain, increasing=True):
+        self.name, self.fn, self.increasing = name, fn, increasing
+        self.domain, self.codomain = domain, codomain
+
+    def _eval_raw(self, x):
+        return self.fn(x)
+
+    def describe(self):
+        return self.name
+
+    def to_json(self):
+        return {"family": "custom"}
+
+
+_REALS = Interval(-math.inf, math.inf)
+
+
+def _bisect_exp(k):
+    return _Bisecting(f"bisect-exp(k={k:g})", lambda x: np.exp(k * x), _REALS,
+                      Interval(0.0, math.inf), k > 0)
+
+
+# onto the reals: its brackets halve toward both ends of (0, 1)
+_LOGIT = _Bisecting("logit", lambda x: np.log(x) - np.log1p(-x), Interval(0.0, 1.0), _REALS)
+# declared onto the reals, although its image is (-pi/2, pi/2)
+_ARCTAN = _Bisecting("arctan", np.arctan, _REALS, _REALS)
+
+
+def _per_element(gen, y):
+    """The per-element routine over every element: the reference of the array loop."""
+    with np.errstate(over="ignore"):
+        return np.array([_bisect_scalar(gen, float(t)) for t in np.ravel(y)]).reshape(np.shape(y))
+
+
+def _array_loop(gen, y):
+    with np.errstate(over="ignore"):
+        return _bisect_array(gen, np.ravel(y))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestArrayBisection:
+    """The array loop against the per-element routine, bit for bit.
+
+    The first target of each pool is f at the interior seed, bracketed at
+    step 0; the exp pools reach 1e-300 and 1e300.  The shapes lie on both
+    sides of ``_BISECT_ARRAY_MIN``.
+    """
+
+    SHAPES = [(), (1,), (3,), (7, 7, 7), (2401,)]
+    _RNG = np.random.default_rng(2024)
+    EXP_POOL = np.concatenate([[1.0, 1e-300, 1e300], np.exp(_RNG.uniform(-600.0, 600.0, 2398))])
+    CASES = {
+        "exp-increasing": (_bisect_exp(1.5), EXP_POOL),
+        "exp-decreasing": (_bisect_exp(-2.0), EXP_POOL),
+        "logit": (_LOGIT, np.concatenate([[0.0], _RNG.uniform(-30.0, 30.0, 2400)])),
+    }
+
+    def test_shapes_straddle_the_cutoff(self):
+        sizes = [math.prod(shape) for shape in self.SHAPES]
+        assert min(sizes) < _BISECT_ARRAY_MIN <= max(sizes)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_bit_identical_to_the_per_element_routine(self, case, shape):
+        gen, pool = self.CASES[case]
+        y = pool[:math.prod(shape)].reshape(shape)
+        want = _per_element(gen, y)
+        assert np.array_equal(_bits(_array_loop(gen, y)), _bits(want).ravel())
+        got = gen._inverse_raw(y)
+        assert np.shape(got) == shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_affine_with_negative_slope_over_a_bisecting_generator(self, shape):
+        inner = _bisect_exp(1.5)
+        gen = affine(inner, -2.0, 3.0)
+        y = 3.0 - 2.0 * self.EXP_POOL[:math.prod(shape)].reshape(shape)
+        want = _per_element(inner, (y - 3.0) / -2.0)
+        assert np.array_equal(_bits(gen._inverse_raw(y)), _bits(want))
+
+    def test_unattained_target_raises_the_same_error_on_both_paths(self):
+        gen = _ARCTAN
+        y = np.linspace(-1.5, 1.5, 2401)
+        y[[700, 1500]] = 2.0, -3.0
+        with pytest.raises(RangeError) as per_element:
+            _per_element(gen, y)
+        for inverse in (lambda t: _array_loop(gen, t), gen.inverse, lambda t: gen.inverse(t[698:701])):
+            with pytest.raises(RangeError) as array:
+                inverse(y)
+            assert str(array.value) == str(per_element.value) == "could not bracket 2.0 in the range of arctan"
+
+    def test_extreme_targets_emit_no_overflow_warning(self):
+        gen = _NoClosedForm()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = gen.inverse(1e300)
+            many = gen.inverse(np.full(2 * _BISECT_ARRAY_MIN, 1e300))
+        assert one == pytest.approx(math.log(1e300), rel=1e-12)
+        assert np.array_equal(_bits(many), _bits(np.full(many.shape, one)))
+
+
+class TestBisectionInSearches:
+    """Both searches over a bisecting exp pair against its closed-form twin."""
+
+    PAIRS = ((_bisect_exp(1.0), _bisect_exp(2.0)), (ExpGenerator(1.0), ExpGenerator(2.0)))
+
+    @staticmethod
+    def assert_same_witness(found, twin):
+        assert found is not None and twin is not None
+        assert found.values == twin.values
+        for side in ("lhs", "rhs", "rel_residual"):
+            assert getattr(found.report, side) == pytest.approx(getattr(twin.report, side), rel=1e-9)
+
+    def test_block_search(self):
+        grid = GridSpec(7, (0.2, 2.0))
+        found, twin = (block_witness_search(f, g, 0.7, 1.3, 1.1, 0.6, grid, 1e-6)
+                       for f, g in self.PAIRS)
+        self.assert_same_witness(found, twin)
+
+    def test_full_search(self):
+        spaces = (DiscreteMeasureSpace([0.8, 1.5]), DiscreteMeasureSpace([0.6, 1.2, 0.9]))
+        found, twin = (full_witness_search(f, g, (2, 3), spaces, GridSpec(5, (0.2, 2.0)), 1e-6)
+                       for f, g in self.PAIRS)
+        self.assert_same_witness(found, twin)
 
 
 class TestWrappers:

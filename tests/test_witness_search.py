@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,3 +345,46 @@ class TestTableEvaluator:
                 block = block_witness_search(f, g, *wx, *wy, grid, 1e-300, workers)
                 assert list(block.values) == want[0] + want[1]
                 assert block.skipped_points == skipped
+
+
+class TestOneAtomTables:
+    """A space with one atom makes the other side's table as large as the search.
+
+    Such a table is built per batch; the candidates must not change, and
+    the memory must not grow with the search.
+    """
+
+    CASES = {
+        "1x5": ([1.3], [0.3, 1.7, 0.9, 1.1, 0.5]),
+        "5x1": ([0.3, 1.7, 0.9, 1.1, 0.5], [1.3]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_candidate_matches_the_kernel(self, case):
+        f, g = ExpGenerator(1.0), PowerGenerator(2.0)
+        wx, wy = (np.asarray(w) for w in self.CASES[case])
+        pts = GridSpec(4, (0.1, 10.0)).points()
+        lhs, rhs, best, _ = TestTableEvaluator.brute_force(f, g, wx, wy, pts)
+
+        sides, total, batch = _table_sides(f, g, wx, wy, pts)
+        assert total // batch == 4
+        got = [sides(start) for start in range(0, total, batch)]
+        TestTableEvaluator.assert_bitwise_equal(np.concatenate([np.ravel(s[0]) for s in got]), lhs)
+        TestTableEvaluator.assert_bitwise_equal(np.concatenate([np.ravel(s[1]) for s in got]), rhs)
+        spaces = (DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
+        found = full_witness_search(f, g, (wx.size, wy.size), spaces, pts, 1e-300, workers=3)
+        assert [list(row) for row in found.values] == _decode(best, pts, (wx.size, wy.size)).tolist()
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1)])
+    def test_peak_memory_does_not_hold_a_table_of_the_search(self, shape):
+        # 10^6 candidates: a table of them all is 8 MB, and a batch's own
+        # arrays take about 10 MB
+        spaces = tuple(DiscreteMeasureSpace([1.0] * size) for size in shape)
+        tracemalloc.start()
+        try:
+            full_witness_search(ExpGenerator(1.0), ExpGenerator(2.0), shape, spaces,
+                                GridSpec(10, (0.1, 3.0)), 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
