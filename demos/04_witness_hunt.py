@@ -3,7 +3,8 @@
 For pairs that are not proportional the mixed means must disagree on some
 simple function.  The block search scans 2x2 block functions over a value
 grid and returns the worst offender; the full matrix search confirms it
-independently; golden-section refinement then pushes the residual higher.
+independently; refinement then pushes the residual higher, one coordinate
+at a time, by scanning a bracket around it in one batch and zooming in.
 Everything is deterministic, including under parallel partitioning.
 """
 
@@ -54,13 +55,14 @@ for pair in ((PowerGenerator(1.0), PowerGenerator(2.0)), (ExpGenerator(1.0), Pow
     print(f"{pair[0].describe():>12} vs {pair[1].describe():<12} rel residual {w.report.rel_residual:.4e}")
 
 print()
-print("=== refinement climbs from a coarse starting point ===")
+print("=== bracket-scan refinement climbs from a coarse starting point ===")
 coarse = block_witness_search(f, g, 1, 1, 1, 1, [0.0, math.log(2.0), math.log(3.0), math.log(4.0)],
                               threshold=1e-4)
-print(f"coarse grid witness:  rel residual {coarse.report.rel_residual:.6f}")
+print(f"coarse grid witness:                  rel residual {coarse.report.rel_residual:.6f}")
 for iters in (1, 5, 50):
     refined = refine_witness(f, g, coarse, iters)
-    print(f"after {iters:>2} sweep(s):     rel residual {refined.report.rel_residual:.6f}")
+    print(f"after {iters:>2} sweep(s) of scans and zooms: rel residual "
+          f"{refined.report.rel_residual:.6f}")
 
 print()
 print("=== determinism under partitioning ===")

@@ -37,10 +37,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, RangeError
 from .generators import Generator, masked_eval, masked_inverse
 from .measure_space import DiscreteMeasureSpace, ProductGrid
-from .means import SimpleFunctionMatrix, _masked_mean, commutation_residual
+from .means import SimpleFunctionMatrix, _masked_mean, commutation_residual, mixed_means
 from .residuals import ResidualReport
 
 __all__ = [
@@ -57,11 +56,15 @@ MAX_FULL_SEARCH_EVALS = 10_000_000
 # most candidates, or grid values of table rows, evaluated in one batch
 BATCH_SIZE = 2**18
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # half-width of a refinement bracket, relative to max(1, |value|)
 _STEP_FRACTION = 0.25
 # accept a refinement step only if it beats the incumbent by more than noise
 _IMPROVEMENT_MARGIN = 1e-15
+# points of a refinement scan, and scans per coordinate: each scan narrows
+# the bracket to 2/48 of its width, so five leave 24**-5 = 1.3e-7 of it,
+# as much as 33 golden-section steps would (0.618**33 = 1.3e-7)
+_SCAN_POINTS = 49
+_SCANS = 5
 
 
 class Spacing(Enum):
@@ -230,6 +233,23 @@ def _decode(indices, pts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return pts[(indices[..., None] // radix) % pts.size].reshape(indices.shape + shape)
 
 
+def _relative_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The ``ResidualReport`` rel residual of each pair of sides; NaN where a side is not finite.
+
+    Computed in place, overwriting ``lhs`` and ``rhs``: fresh batch-sized
+    temporaries let glibc trim the heap and fault it in again between the
+    batches of a search.
+    """
+    with np.errstate(invalid="ignore"):
+        rel = np.subtract(lhs, rhs)
+        np.abs(rel, out=rel)
+        denom = np.abs(lhs, out=lhs)
+        np.maximum(denom, np.abs(rhs, out=rhs), out=denom)
+        np.maximum(denom, 1.0, out=denom)
+        rel /= denom
+    return rel
+
+
 def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness | None:
     """The value matrix on the spaces with the largest relative residual, if above threshold.
 
@@ -237,25 +257,25 @@ def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness 
     """
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be a finite positive real, got {threshold}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     space_x, space_y = spaces
     sides, total, batch = _table_sides(f, g, space_x.weights, space_y.weights, pts)
 
     def best_in(start: int):
-        lhs, rhs = (np.ravel(side) for side in sides(start))
-        valid = np.isfinite(lhs) & np.isfinite(rhs)
-        denom = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        with np.errstate(invalid="ignore"):
-            # a skipped candidate gets -1, below every residual
-            rel = np.where(valid, np.abs(lhs - rhs) / denom, -1.0)
+        rel = _relative_residuals(*(np.ravel(side) for side in sides(start)))
+        # a skipped candidate gets -1, below every residual
+        skipped = np.isnan(rel)
+        np.copyto(rel, -1.0, where=skipped)
         local = int(np.argmax(rel))
-        return float(rel[local]), start + local, int(lhs.size - np.count_nonzero(valid))
+        return float(rel[local]), start + local, int(np.count_nonzero(skipped))
 
     def chunk(starts: np.ndarray):
         return [best_in(int(start)) for start in starts]
 
     # one contiguous run of batches per worker; one run stays in this
     # thread, so that an interrupt stops it
-    parts = [p for p in np.array_split(np.arange(0, total, batch), max(1, workers)) if p.size]
+    parts = [p for p in np.array_split(np.arange(0, total, batch), workers) if p.size]
     if len(parts) == 1:
         results = [chunk(parts[0])]
     else:
@@ -353,12 +373,18 @@ def refine_witness(
     start: Witness,
     iterations: int,
 ) -> Witness:
-    """Coordinate-wise golden-section ascent of the residual from a witness.
+    """Coordinate-wise ascent of the residual from a witness, by bracket scans.
 
-    Each sweep maximizes the relative residual one coordinate at a time
-    over a local bracket clipped to the common domain; a move is kept only
-    when it strictly improves, so the result never falls below the start.
-    Deterministic given its inputs.
+    Each sweep maximizes the relative residual one coordinate at a time.
+    The coordinate's bracket, clipped to the common domain, is scanned at
+    ``_SCAN_POINTS`` evenly spaced points in one ``mixed_means`` call; the
+    bracket then narrows to the two intervals around the first point of
+    the largest residual and is scanned again, ``_SCANS`` times in all.
+    A point where a side leaves a generator's domain or range counts as
+    -inf.  The best point scanned replaces the coordinate only when it
+    strictly improves, so the result never falls below the start; the
+    result is reported through ``commutation_residual``.  Deterministic
+    given its inputs.
     """
     if iterations <= 0:
         return start
@@ -368,18 +394,9 @@ def refine_witness(
         (wx, wy), shape = (start.masses[:2], start.masses[2:]), (2, 2)
     else:
         (wx, wy), shape = start.masses, (len(start.values), len(start.values[0]))
-    coords = [float(v) for v in np.ravel(start.values)]
     grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
-
-    def report_at(vals: list[float]) -> ResidualReport:
-        return commutation_residual(f, g, grid, SimpleFunctionMatrix(np.reshape(vals, shape)))
-
-    def rel_at(vals: list[float]) -> float:
-        try:
-            return report_at(vals).rel_residual
-        except (RangeError, DomainError, ValueError):
-            return -math.inf
-
+    wx, wy = grid.space_x.weights, grid.space_y.weights
+    coords = np.array(start.values, dtype=float).ravel()
     common = f.domain.intersection(g.domain)
     if common is None:
         raise ValueError("generators share no domain interval")
@@ -387,8 +404,8 @@ def refine_witness(
     improved = False
 
     for _ in range(iterations):
-        for idx in range(len(coords)):
-            v = coords[idx]
+        for idx in range(coords.size):
+            v = float(coords[idx])
             delta = _STEP_FRACTION * max(1.0, abs(v))
             lo, hi = v - delta, v + delta
             if math.isfinite(common.lower) and lo <= common.lower:
@@ -396,30 +413,21 @@ def refine_witness(
             if math.isfinite(common.upper) and hi >= common.upper:
                 hi = 0.5 * (v + common.upper)
 
-            def at(t: float) -> float:
-                coords[idx] = t
-                val = rel_at(coords)
-                coords[idx] = v
-                return val
-
-            # golden-section shrink, keeping the best point actually evaluated
-            a, b = lo, hi
-            c = b - _GOLDEN * (b - a)
-            d = a + _GOLDEN * (b - a)
-            fc, fd = at(c), at(d)
-            cand_t, cand_val = (c, fc) if fc >= fd else (d, fd)
-            for _ in range(32):
-                if fc >= fd:
-                    b, d, fd = d, c, fc
-                    c = b - _GOLDEN * (b - a)
-                    fc = at(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + _GOLDEN * (b - a)
-                    fd = at(d)
-                t, val = (c, fc) if fc >= fd else (d, fd)
-                if val > cand_val:
-                    cand_t, cand_val = t, val
+            # scan the bracket, then the two intervals around the scan's
+            # first point of the largest residual, keeping the best point
+            batch = np.tile(coords, (_SCAN_POINTS, 1))
+            cand_t, cand_val = v, -math.inf
+            for _ in range(_SCANS):
+                ts = np.linspace(lo, hi, _SCAN_POINTS)
+                batch[:, idx] = ts
+                lhs, _, rhs, _ = mixed_means(f, g, wx, wy, batch.reshape(-1, *shape))
+                rel = _relative_residuals(lhs, rhs)
+                # a side left a generator's domain or range
+                rel[np.isnan(rel)] = -math.inf
+                k = int(np.argmax(rel))
+                if rel[k] > cand_val:
+                    cand_t, cand_val = float(ts[k]), float(rel[k])
+                lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, _SCAN_POINTS - 1)]
             if cand_val > best_rel + _IMPROVEMENT_MARGIN + 1e-12 * best_rel:
                 coords[idx] = cand_t
                 best_rel = cand_val
@@ -427,6 +435,7 @@ def refine_witness(
 
     if not improved:
         return start
-    values = tuple(coords) if start.kind == "block" else \
-        tuple(tuple(row) for row in np.reshape(coords, shape).tolist())
-    return Witness(start.kind, start.masses, values, report_at(coords), start.skipped_points)
+    values = tuple(coords.tolist()) if start.kind == "block" else \
+        tuple(tuple(row) for row in coords.reshape(shape).tolist())
+    report = commutation_residual(f, g, grid, SimpleFunctionMatrix(coords.reshape(shape)))
+    return Witness(start.kind, start.masses, values, report, start.skipped_points)

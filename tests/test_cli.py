@@ -172,6 +172,17 @@ class TestWitness:
         assert code == 2
         assert "threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("y_weights", [[1.0, 1.0], [1.0, 1.0, 1.0]], ids=["block", "full"])
+    def test_workers_below_one_is_malformed_input(self, docs, capsys, workers, y_weights):
+        space_y = write(docs["tmp"] / "y.json", {"weights": y_weights})
+        code = main(
+            ["witness", "--f", docs["exp1"], "--g", docs["exp2"], "--space-x", docs["unit2"],
+             "--space-y", space_y, "--grid", "5", "--workers", workers]
+        )
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+
 
 class TestSuiteAndPhi:
     def test_suite_passes(self, docs, capsys):

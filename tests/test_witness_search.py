@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,17 +13,24 @@ from qamlab import (
     ExpGenerator,
     GridSpec,
     PowerGenerator,
+    ProductGrid,
+    ResidualReport,
+    SimpleFunctionMatrix,
     Spacing,
+    Witness,
     affine,
     block_scenario_residual,
     block_witness_search,
     commutation_residual,
     full_witness_search,
+    generator_from_json,
     mixed_means,
     refine_witness,
     scale,
 )
+from qamlab import means, witness_search
 from qamlab.witness_search import _decode, _table_sides
+from test_pinned_witness import DATA as PINNED, PAIRS
 
 LN2, LN3, LN4 = math.log(2.0), math.log(3.0), math.log(4.0)
 ANCHOR_GRID = [0.0, LN2, LN3, LN4]
@@ -126,6 +135,12 @@ class TestBlockSearch:
                 ExpGenerator(1.0), ExpGenerator(2.0), 0.0, 1, 1, 1, GEOMETRIC_21
             )
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            block_witness_search(ExpGenerator(1.0), ExpGenerator(2.0), 1, 1, 1, 1,
+                                 GEOMETRIC_21, workers=workers)
+
 
 class TestFullSearch:
     def two_by_two_unit(self):
@@ -188,6 +203,12 @@ class TestFullSearch:
         }
         assert len(docs) == 1
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            full_witness_search(ExpGenerator(1.0), ExpGenerator(2.0), (2, 2),
+                                self.two_by_two_unit(), GridSpec(5, (0.2, 5.0)), workers=workers)
+
     def test_soundness_reevaluation(self):
         from qamlab import ProductGrid, SimpleFunctionMatrix
 
@@ -241,6 +262,108 @@ class TestRefinement:
         refined = refine_witness(self.f, self.g, start, 10)
         assert refined.kind == "matrix"
         assert refined.report.rel_residual >= start.report.rel_residual
+
+
+def pinned_witness(label: str, kind: str):
+    """The generators and the witness of one pinned `qamlab witness` case."""
+    f_doc, g_doc = PAIRS[label]
+    doc = json.loads((PINNED / f"{label}-{kind}.json").read_text())
+    if doc["kind"] == "block":
+        masses, values = tuple(doc["masses"]), tuple(doc["values"])
+    else:
+        masses = tuple(tuple(w) for w in doc["masses"])
+        values = tuple(tuple(row) for row in doc["values"])
+    report = ResidualReport(doc["lhs"], doc["rhs"], doc["abs_residual"], doc["rel_residual"])
+    start = Witness(doc["kind"], masses, values, report, doc["skipped_points"])
+    return generator_from_json(f_doc), generator_from_json(g_doc), start
+
+
+def witness_residual(f, g, witness: Witness):
+    """``commutation_residual`` on a witness's own masses and values."""
+    if witness.kind == "block":
+        wx, wy = witness.masses[:2], witness.masses[2:]
+        values = [witness.values[:2], witness.values[2:]]
+    else:
+        (wx, wy), values = witness.masses, witness.values
+    grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
+    return commutation_residual(f, g, grid, SimpleFunctionMatrix(values))
+
+
+# rel residual that golden-section refinement (34 probes per coordinate,
+# the algorithm before the bracket scans) reached from the pinned witness
+# of each non-proportional pair, after 1 and after 5 sweeps
+GOLDEN_SECTION = {
+    ("exp-increasing", "block"): (0.0947701831352352, 0.13806169821999834),
+    ("exp-increasing", "full"): (0.07916631919058582, 0.1017850479312878),
+    ("exp-decreasing", "block"): (0.346566963642131, 0.34657359027978774),
+    ("exp-decreasing", "full"): (0.3465686357746539, 0.34657359027989837),
+    ("power", "block"): (0.9872753326993123, 0.999672498101592),
+    ("power", "full"): (0.9882981111608343, 0.9996992522322681),
+    ("exp-power", "block"): (0.23010883144009187, 0.2397232522328837),
+    ("exp-power", "full"): (0.36849326209016225, 0.3899033687832626),
+}
+
+
+class TestBatchedRefinement:
+    @pytest.mark.parametrize("label, kind", list(GOLDEN_SECTION),
+                             ids=[f"{lb}-{k}" for lb, k in GOLDEN_SECTION])
+    def test_reaches_golden_section(self, label, kind):
+        f, g, start = pinned_witness(label, kind)
+        for sweeps, golden in zip((1, 5), GOLDEN_SECTION[label, kind]):
+            refined = refine_witness(f, g, start, sweeps)
+            assert refined.report.rel_residual >= golden * (1.0 - 1e-6), sweeps
+
+    @pytest.mark.parametrize("kind", ["block", "full"])
+    def test_at_most_six_kernel_calls_per_coordinate_per_sweep(self, monkeypatch, kind):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return mixed_means(*args)
+
+        # the scans, and the final report through commutation_residual
+        monkeypatch.setattr(witness_search, "mixed_means", counting)
+        monkeypatch.setattr(means, "mixed_means", counting)
+        f, g, start = pinned_witness("exp-increasing", kind)
+        sweeps = 3
+        refined = refine_witness(f, g, start, sweeps)
+        assert refined.report.rel_residual > start.report.rel_residual
+        assert 0 < len(calls) <= 6 * len(np.ravel(start.values)) * sweeps
+
+    @pytest.mark.parametrize("kind", ["block", "full"])
+    def test_range_escapes_inside_the_bracket(self, monkeypatch, kind):
+        # the shifted f leaves exp's range on part of each bracket
+        stages = []
+
+        def recording(*args):
+            lhs, lhs_stage, rhs, rhs_stage = mixed_means(*args)
+            stages.append(np.any(lhs_stage) or np.any(rhs_stage))
+            return lhs, lhs_stage, rhs, rhs_stage
+
+        monkeypatch.setattr(witness_search, "mixed_means", recording)
+        f, g, start = pinned_witness("shifted-exp", kind)
+        for sweeps in (1, 5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                refined = refine_witness(f, g, start, sweeps)
+            # the scans step past the points that escape, so the climb goes on
+            assert refined.report.rel_residual > start.report.rel_residual
+            assert refined.report == witness_residual(f, g, refined)
+        assert any(stages)
+
+    def test_bracket_clipped_at_the_domain_end(self):
+        # power's domain ends at 0, and the witness sits at the grid's lower
+        # edge 0.1, where v - _STEP_FRACTION * max(1, v) is below 0
+        f, g, start = pinned_witness("power", "block")
+        assert f.describe() == PowerGenerator(2.0).describe()
+        assert g.describe() == PowerGenerator(-1.0).describe()
+        assert min(start.values) == 0.1
+        common = f.domain.intersection(g.domain)
+        for sweeps in (1, 5, 20):
+            refined = refine_witness(f, g, start, sweeps)
+            assert common.contains_all(refined.values)
+            assert refined.report.rel_residual > start.report.rel_residual
+        assert min(refined.values) < min(start.values)
 
 
 class TestWitnessJson:
