@@ -100,10 +100,10 @@ class Interval:
         return self.lower_open and self.upper_open
 
     def contains(self, x) -> np.ndarray | bool:
+        # infinite ends are open, so the two comparisons reject NaN and +-inf
         x = np.asarray(x, dtype=float)
-        lo_ok = (x > self.lower) if self.lower_open else (x >= self.lower)
-        hi_ok = (x < self.upper) if self.upper_open else (x <= self.upper)
-        ok = lo_ok & hi_ok & np.isfinite(x)
+        ok = (x > self.lower) if self.lower_open else (x >= self.lower)
+        ok &= (x < self.upper) if self.upper_open else (x <= self.upper)
         return bool(ok) if ok.ndim == 0 else ok
 
     def contains_all(self, x) -> bool:
@@ -173,6 +173,14 @@ class Generator(ABC):
     that, where the array loop's fixed cost would dominate; subclasses
     override it when a closed form exists.  The default needs
     ``_eval_raw`` to act elementwise.
+
+    ``_inverse_raw(y, out)`` writes its result into the float array
+    ``out`` when one is given, and returns it; ``out`` may be ``y``
+    itself.  Pass ``out`` positionally: wrappers of ``_inverse_raw``,
+    such as the benchmark's tracer, forward only positional arguments.
+    A closed form sends its last ufunc to ``out``, so that a search
+    reuses its batch buffers instead of allocating fresh ones; the
+    bisection default copies its result in.
     """
 
     domain: Interval
@@ -210,8 +218,8 @@ class Generator(ABC):
     def _eval_raw(self, x: np.ndarray) -> np.ndarray:
         ...
 
-    def _inverse_raw(self, y: np.ndarray) -> np.ndarray:
-        return _bisect_inverse(self, np.asarray(y, dtype=float))
+    def _inverse_raw(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _into(_bisect_inverse(self, np.asarray(y, dtype=float)), out)
 
     # -- description ---------------------------------------------------------
     @abstractmethod
@@ -236,11 +244,23 @@ def _interior_seed(dom: Interval) -> float:
     return 0.0
 
 
-def _masked(raw, valid: Interval, x: np.ndarray) -> np.ndarray:
+def _into(result, out: np.ndarray | None = None):
+    """``result``, copied into ``out`` when one is given."""
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
+
+
+def _masked(raw, valid: Interval, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``raw(x)``, or ``raw(x, out)``, with NaN where x is outside ``valid``.
+
+    Only the fallback for a partly invalid x allocates when ``out`` is given.
+    """
     ok = valid.contains(x)
     if np.all(ok):
-        return raw(x)
-    return np.where(ok, raw(np.where(ok, x, _interior_seed(valid))), np.nan)
+        return raw(x) if out is None else raw(x, out)
+    return _into(np.where(ok, raw(np.where(ok, x, _interior_seed(valid))), np.nan), out)
 
 
 def masked_eval(gen: Generator, x: np.ndarray) -> np.ndarray:
@@ -248,9 +268,12 @@ def masked_eval(gen: Generator, x: np.ndarray) -> np.ndarray:
     return _masked(gen._eval_raw, gen.domain, x)
 
 
-def masked_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
-    """``gen._inverse_raw`` with NaN, instead of an error, outside the range."""
-    return _masked(gen._inverse_raw, gen.codomain, y)
+def masked_inverse(gen: Generator, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``gen._inverse_raw`` with NaN, instead of an error, outside the range.
+
+    Writes into ``out`` when one is given; ``out`` may be ``y``.
+    """
+    return _masked(gen._inverse_raw, gen.codomain, y, out)
 
 
 def _bisect_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
@@ -362,8 +385,8 @@ class ExpGenerator(Generator):
     def _eval_raw(self, x):
         return np.exp(self.k * x)
 
-    def _inverse_raw(self, y):
-        return np.log(y) / self.k
+    def _inverse_raw(self, y, out=None):
+        return np.divide(np.log(y, out=out), self.k, out=out)
 
     def describe(self) -> str:
         return f"exp(k={self.k:g})"
@@ -387,8 +410,8 @@ class PowerGenerator(Generator):
     def _eval_raw(self, x):
         return np.power(x, self.p)
 
-    def _inverse_raw(self, y):
-        return np.power(y, 1.0 / self.p)
+    def _inverse_raw(self, y, out=None):
+        return np.power(y, 1.0 / self.p, out=out)
 
     def describe(self) -> str:
         return f"power(p={self.p:g})"
@@ -408,8 +431,8 @@ class IdentityGenerator(Generator):
     def _eval_raw(self, x):
         return np.asarray(x, dtype=float) + 0.0
 
-    def _inverse_raw(self, y):
-        return np.asarray(y, dtype=float) + 0.0
+    def _inverse_raw(self, y, out=None):
+        return np.add(y, 0.0, out=out)
 
     def describe(self) -> str:
         return "identity"
@@ -429,8 +452,8 @@ class LogGenerator(Generator):
     def _eval_raw(self, x):
         return np.log(x)
 
-    def _inverse_raw(self, y):
-        return np.exp(y)
+    def _inverse_raw(self, y, out=None):
+        return np.exp(y, out=out)
 
     def describe(self) -> str:
         return "log"
@@ -475,8 +498,9 @@ class AffineGenerator(Generator):
     def _eval_raw(self, x):
         return self.a * self.inner._eval_raw(x) + self.b
 
-    def _inverse_raw(self, y):
-        return self.inner._inverse_raw((np.asarray(y, dtype=float) - self.b) / self.a)
+    def _inverse_raw(self, y, out=None):
+        x = np.divide(np.subtract(y, self.b, out=out), self.a, out=out)
+        return self.inner._inverse_raw(x, out)
 
     def describe(self) -> str:
         return f"{self.a:g}*{self.inner.describe()}{self.b:+g}"

@@ -12,17 +12,25 @@ holds the grid points of the base-p digits of k, row by row.  A row's
 inner g-mean over Y depends on that row alone, so f of the inner mean of
 every possible row is one table of p^n entries, and g of the inner f-mean
 over X of every column one table of p^m; both come from the kernel's
-``_masked_mean``.  A batch fixes the leading digits and spans the cube of
-the trailing ones, at most ``BATCH_SIZE`` candidates.  Its lhs is f^-1
-of the weighted sum of the row table over the rows, and its rhs g^-1 of
-that of the column table over the columns, each a broadcast of table
-slices.  When X or Y has one atom, the other side's table would hold one
-entry per candidate, so each batch builds its own part of it instead.
-The sides equal ``mixed_means`` bit for bit only because every weighted
-sum adds its terms in the order of ``np.sum`` (see ``_weighted_sum``).
-The batches are split into one contiguous run per worker, and the merge
-walks them in index order keeping the smallest index of the largest
-residual, so the result does not depend on the worker count.
+``_masked_mean``, and each is multiplied by every row's (column's)
+weight once per search.  A batch fixes the leading digits and spans the
+cube of the trailing ones, at most ``BATCH_SIZE`` candidates.  Its lhs
+is f^-1 of the sum of the weighted row tables over the rows, and its
+rhs g^-1 of that of the weighted column tables over the columns, each a
+broadcast of table slices.  When X or Y has one atom, the other side's
+table would hold one entry per candidate, so each batch builds its own
+part of it instead.  The sides equal ``mixed_means`` bit for bit only
+because every weighted sum adds its terms in the order of ``np.sum``
+(see ``_weighted_sum``).  The batches are split into one contiguous run
+per worker, and the merge walks them in index order keeping the
+smallest index of the largest residual, so the result does not depend
+on the worker count.
+
+Each worker allocates its batch buffers once, and the sums, the
+generator inverses (``_inverse_raw(y, out)``) and the residuals write
+into them: fresh batch-sized arrays let glibc trim the heap and fault it
+in again between batches, which cost a block search about half of its
+time on a 2-vCPU x86 host.
 """
 
 from __future__ import annotations
@@ -146,40 +154,42 @@ def _grid_points(grid, f: Generator, g: Generator) -> np.ndarray:
 
 
 def _tuple_means(outer: Generator, inner: Generator, weights: np.ndarray, pts: np.ndarray,
-                 first: int = 0, count: int | None = None) -> np.ndarray:
+                 first: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """``outer`` of the ``inner``-mean of ``weights.size``-tuples of grid points.
 
     Tuple k holds the grid points of the base-``pts.size`` digits of k;
-    the flat result covers tuples ``first`` to ``first + count``, by
-    default all of them.
+    the flat result covers tuples ``first`` to ``first + out.size``,
+    written into ``out``, or all of them in a new array.
     """
     shape = (pts.size,) * weights.size
-    table = np.empty(math.prod(shape) if count is None else count)
+    table = np.empty(math.prod(shape)) if out is None else out
     step = max(1, BATCH_SIZE // weights.size)
     for start in range(0, table.size, step):
-        digits = np.unravel_index(first + np.arange(start, min(start + step, table.size)), shape)
+        # one expression, so that the digit arrays are freed before the means
+        values = pts[np.stack(np.unravel_index(
+            first + np.arange(start, min(start + step, table.size)), shape), axis=-1)]
         with np.errstate(all="ignore"):
-            means = _masked_mean(inner, weights, pts[np.stack(digits, axis=-1)])
-            table[start:start + step] = masked_eval(outer, means)
+            table[start:start + step] = masked_eval(outer, _masked_mean(inner, weights, values))
     return table
 
 
-def _weighted_sum(weights: np.ndarray, terms: list) -> np.ndarray:
-    """``sum_k weights[k] * terms[k]``, broadcast, added in the order of ``np.sum``.
+def _weighted_sum(products: list, out: np.ndarray) -> np.ndarray:
+    """The sum of two or more weighted terms, broadcast into ``out``, in the order of ``np.sum``.
 
     The branch is there for bit-identity with the kernel, not for speed.
     Over a contiguous last axis ``np.sum`` adds fewer than 8 terms one by
-    one from 0.0, as the chain does; from 8 on it adds pairwise, which
-    only ``np.sum`` over the stacked terms repeats.  The stack would be
+    one from 0.0, as the chain does when the first product already holds
+    0.0 plus itself; from 8 on it adds pairwise, which only ``np.sum``
+    over the stacked terms repeats (the first product's 0.0 cannot change
+    that sum, which starts from 0.0 too).  The stack would be
     bit-identical at every length, but costs far more than the chain.
     """
-    products = [w * t for w, t in zip(weights, terms)]
     if len(products) >= 8:
-        return np.sum(np.stack(np.broadcast_arrays(*products), axis=-1), axis=-1)
-    total = 0.0
-    for product in products:
-        total = total + product
-    return total
+        return np.sum(np.stack(np.broadcast_arrays(*products), axis=-1), axis=-1, out=out)
+    np.add(products[0], products[1], out=out)
+    for product in products[2:]:
+        np.add(out, product, out=out)
+    return out
 
 
 def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts: np.ndarray):
@@ -187,7 +197,9 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
 
     Candidate k holds the grid points of the base-``pts.size`` digits of k,
     row by row.  Returns ``(sides, total, batch)``: ``sides(start)`` gives
-    the lhs and rhs of the ``batch`` candidates from ``start``.
+    the lhs and rhs of the ``batch`` candidates from ``start`` as two flat
+    arrays, and ``sides(start, (lhs, rhs))`` writes them into the given
+    ones.
     """
     m, n, npts = wx.size, wy.size, pts.size
     # at least one leading digit, so that workers can share the batches,
@@ -196,32 +208,43 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
     while npts ** (digits - lead) > BATCH_SIZE:
         lead += 1
     batch = npts ** (digits - lead)
+    cube = (npts,) * (digits - lead)
 
-    def terms(outer, inner, weights, groups):
-        """The entry of each group (row or column) over the cube of a batch's trailing digits."""
-        if weights.size == digits:
+    def summed(outer, inner, w_outer, w_inner, groups):
+        """A function that writes the ``w_outer``-weighted sum of the groups'
+        (rows' or columns') entries over a batch into a flat buffer."""
+        if w_inner.size == digits:
             # the other space has one atom, so the one group spans every digit
             # and its table would be as large as the search: build each
-            # batch's part of it
-            cube = (npts,) * (digits - lead)
-            return lambda start: [_tuple_means(outer, inner, weights, pts, start, batch).reshape(cube)]
-        table = _tuple_means(outer, inner, weights, pts).reshape((npts,) * weights.size)
+            # batch's part of it in the buffer
+            def one_group(start, out):
+                _tuple_means(outer, inner, w_inner, pts, start, out)
+                np.add(0.0, np.multiply(w_outer[0], out, out=out), out=out)
+            return one_group
+        table = _tuple_means(outer, inner, w_inner, pts).reshape((npts,) * w_inner.size)
+        # each group's table times its weight, once per search; the first
+        # plus 0.0, where the sum's chain starts
+        products = [w * table for w in w_outer]
+        products[0] = 0.0 + products[0]
 
-        def lookup(start):
+        def lookup(start, out):
             prefix = np.unravel_index(start // batch, (npts,) * lead)
-            return [table[tuple(prefix[q] for q in group if q < lead)].reshape(
-                [npts if q in group else 1 for q in range(lead, digits)]) for group in groups]
+            _weighted_sum([product[tuple(prefix[q] for q in group if q < lead)].reshape(
+                [npts if q in group else 1 for q in range(lead, digits)])
+                for product, group in zip(products, groups)], out.reshape(cube))
         return lookup
 
     # f of the inner g-mean over Y of every row, g of the inner f-mean over
     # X of every column
-    row_terms = terms(f, g, wy, [range(i * n, (i + 1) * n) for i in range(m)])
-    col_terms = terms(g, f, wx, [range(j, digits, n) for j in range(n)])
+    row_sum = summed(f, g, wx, wy, [range(i * n, (i + 1) * n) for i in range(m)])
+    col_sum = summed(g, f, wy, wx, [range(j, digits, n) for j in range(n)])
 
-    def sides(start: int):
+    def sides(start: int, out=None):
+        lhs, rhs = (np.empty(batch), np.empty(batch)) if out is None else out
         with np.errstate(all="ignore"):
-            return (masked_inverse(f, _weighted_sum(wx, row_terms(start))),
-                    masked_inverse(g, _weighted_sum(wy, col_terms(start))))
+            row_sum(start, lhs)
+            col_sum(start, rhs)
+            return masked_inverse(f, lhs, lhs), masked_inverse(g, rhs, rhs)
 
     return sides, npts**digits, batch
 
@@ -233,15 +256,15 @@ def _decode(indices, pts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return pts[(indices[..., None] // radix) % pts.size].reshape(indices.shape + shape)
 
 
-def _relative_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _relative_residuals(lhs: np.ndarray, rhs: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """The ``ResidualReport`` rel residual of each pair of sides; NaN where a side is not finite.
 
-    Computed in place, overwriting ``lhs`` and ``rhs``: fresh batch-sized
-    temporaries let glibc trim the heap and fault it in again between the
-    batches of a search.
+    Computed in place, overwriting ``lhs`` and ``rhs``, into ``out`` when
+    one is given, so that a search's batches allocate no temporaries.
     """
     with np.errstate(invalid="ignore"):
-        rel = np.subtract(lhs, rhs)
+        rel = np.subtract(lhs, rhs, out=out)
         np.abs(rel, out=rel)
         denom = np.abs(lhs, out=lhs)
         np.maximum(denom, np.abs(rhs, out=rhs), out=denom)
@@ -262,16 +285,19 @@ def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness 
     space_x, space_y = spaces
     sides, total, batch = _table_sides(f, g, space_x.weights, space_y.weights, pts)
 
-    def best_in(start: int):
-        rel = _relative_residuals(*(np.ravel(side) for side in sides(start)))
-        # a skipped candidate gets -1, below every residual
-        skipped = np.isnan(rel)
-        np.copyto(rel, -1.0, where=skipped)
-        local = int(np.argmax(rel))
-        return float(rel[local]), start + local, int(np.count_nonzero(skipped))
-
     def chunk(starts: np.ndarray):
-        return [best_in(int(start)) for start in starts]
+        # the worker's batch buffers, reused by each of its batches
+        lhs, rhs, rel = np.empty(batch), np.empty(batch), np.empty(batch)
+        skipped = np.empty(batch, dtype=bool)
+        results = []
+        for start in starts.tolist():
+            _relative_residuals(*sides(start, (lhs, rhs)), rel)
+            # a skipped candidate gets -1, below every residual
+            np.isnan(rel, out=skipped)
+            np.copyto(rel, -1.0, where=skipped)
+            local = int(np.argmax(rel))
+            results.append((float(rel[local]), start + local, int(np.count_nonzero(skipped))))
+        return results
 
     # one contiguous run of batches per worker; one run stays in this
     # thread, so that an interrupt stops it

@@ -221,6 +221,41 @@ class TestArrayBisection:
         assert np.array_equal(_bits(many), _bits(np.full(many.shape, one)))
 
 
+class TestInPlaceInverse:
+    """``_inverse_raw(y, out)`` writes into and returns ``out``, bit for bit as ``_inverse_raw(y)``.
+
+    Every catalog family, the wrappers, and the bisection default on both
+    sides of ``_BISECT_ARRAY_MIN``, into a fresh array and into ``y`` itself.
+    """
+
+    GENERATORS = {
+        "exp": ExpGenerator(1.5),
+        "exp-decreasing": ExpGenerator(-2.0),
+        "power": PowerGenerator(2.0),
+        "power-root": PowerGenerator(0.5),
+        "power-decreasing": PowerGenerator(-1.0),
+        "identity": IdentityGenerator(),
+        "log": LogGenerator(),
+        "scaled-exp": scale(ExpGenerator(1.0), 3.0),
+        "affine-power": affine(PowerGenerator(2.0), -2.0, -1.0),
+        "affine-log": affine(LogGenerator(), 0.5, 4.0),
+        "bisect-exp": _bisect_exp(1.5),
+        "affine-bisect-exp": affine(_bisect_exp(1.5), -2.0, 3.0),
+    }
+
+    @pytest.mark.parametrize("alias", [False, True], ids=["fresh", "aliased"])
+    @pytest.mark.parametrize("size", [_BISECT_ARRAY_MIN // 2, 2 * _BISECT_ARRAY_MIN])
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_writes_into_out_bit_for_bit(self, name, size, alias):
+        gen = self.GENERATORS[name]
+        y = gen._eval_raw(gen.domain.sample_points(size))
+        want = gen._inverse_raw(y.copy())
+        out = y if alias else np.empty_like(y)
+        got = gen._inverse_raw(y, out)
+        assert got is out
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 class TestBisectionInSearches:
     """Both searches over a bisecting exp pair against its closed-form twin."""
 
@@ -446,6 +481,25 @@ class TestInterval:
         common = Interval(-math.inf, math.inf).intersection(Interval(0.0, math.inf))
         assert (common.lower, common.upper) == (0.0, math.inf)
         assert Interval(0.0, 1.0).intersection(Interval(2.0, 3.0)) is None
+
+    SPECIAL = np.array([-math.inf, math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308,
+                        1e-300, 0.5, 1.0, -1.0, 2.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                        np.nextafter(2.0, 3.0), 1.7e308, -1.7e308])
+
+    @pytest.mark.parametrize("iv", [
+        Interval(0.0, 1.0), Interval(0.0, 1.0, False, False), Interval(-1.0, 2.0, True, False),
+        Interval(1.0, 2.0, False, True), Interval(0.0, math.inf), Interval(0.0, math.inf, False),
+        Interval(-math.inf, 1.0), Interval(-math.inf, 1.0, upper_open=False),
+        Interval(-math.inf, math.inf), Interval(5e-324, 2.0, False, True),
+    ], ids=repr)
+    def test_contains_equals_the_comparisons_and_isfinite(self, iv):
+        x = self.SPECIAL
+        lo = (x > iv.lower) if iv.lower_open else (x >= iv.lower)
+        hi = (x < iv.upper) if iv.upper_open else (x <= iv.upper)
+        want = lo & hi & np.isfinite(x)
+        assert np.array_equal(iv.contains(x), want)
+        assert [iv.contains(v) for v in x] == want.tolist()
+        assert all(type(iv.contains(v)) is bool for v in x)
 
     def test_sample_points_stay_inside(self):
         for iv in (Interval(-math.inf, math.inf), Interval(0.0, math.inf), Interval(1.0, 4.0)):

@@ -454,6 +454,19 @@ class TestTableEvaluator:
         self.assert_bitwise_equal(np.concatenate([np.ravel(s[1]) for s in got]), rhs)
 
     @pytest.mark.parametrize("case", CASES)
+    def test_sides_write_into_given_buffers(self, case):
+        (f, g), wx, wy, grid = self.CASES[case]
+        sides, total, batch = _table_sides(f, g, np.asarray(wx), np.asarray(wy), grid.points())
+        lhs, rhs = np.empty(batch), np.empty(batch)
+        for start in range(0, total, batch):
+            want = sides(start)
+            assert not (np.shares_memory(want[0], lhs) or np.shares_memory(want[1], rhs))
+            got = sides(start, (lhs, rhs))
+            assert got[0] is lhs and got[1] is rhs
+            self.assert_bitwise_equal(lhs, np.ravel(want[0]))
+            self.assert_bitwise_equal(rhs, np.ravel(want[1]))
+
+    @pytest.mark.parametrize("case", CASES)
     def test_searches_report_the_brute_force_argmax(self, case):
         (f, g), wx, wy, grid = self.CASES[case]
         pts = grid.points()
