@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -24,10 +25,12 @@ from .generators import Generator, generator_from_json
 from .means import SimpleFunctionMatrix, commutation_residual
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .phi_reduction import run_diagnostics
-from .suites import run_finite_measure_suite, run_probability_suite
-from .witness_search import GridSpec, Spacing, block_witness_search, full_witness_search
+from .residuals import DEFAULT_ZERO_TOL
+from .suites import DEFAULT_SEED, run_finite_measure_suite, run_probability_suite
+from .witness_search import (DEFAULT_THRESHOLD, GridSpec, Spacing, block_witness_search,
+                             full_witness_search)
 
-__all__ = ["dispatch", "main"]
+__all__ = ["main"]
 
 
 def _load_json(path: str) -> dict:
@@ -68,8 +71,6 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, object]:
     g = _load_generator(args.g)
     grid = ProductGrid(_load_space(args.space_x), _load_space(args.space_y))
     h = SimpleFunctionMatrix.from_json(_load_json(args.h))
-    if h.shape != grid.shape:
-        raise ValueError(f"h has shape {h.shape} but the spaces give {grid.shape}")
     # values outside either domain are a malformed input, not a numeric failure
     for gen in (f, g):
         if not gen.domain.contains_all(h.values):
@@ -151,21 +152,6 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, object]:
     return 0, doc
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "witness": _cmd_witness,
-    "suite": _cmd_suite,
-    "phi": _cmd_phi,
-}
-
-
-def dispatch(args: argparse.Namespace) -> tuple[int, object]:
-    """Run one configured command; returns (exit code, report document)."""
-    if args.command not in _COMMANDS:
-        raise ValueError(f"unknown command {args.command!r}")
-    return _COMMANDS[args.command](args)
-
-
 # ---------------------------------------------------------------------------
 # Serialisation and argument parsing
 # ---------------------------------------------------------------------------
@@ -211,6 +197,9 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise ValueError(f"--range expects LO:HI, got {text!r}") from exc
 
 
+# cached, so a process builds the parser once, at its first main() call; not
+# at import, which would cost every importer that never parses
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qamlab",
@@ -224,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--space-x", dest="space_x", help="X space JSON file")
     pair.add_argument("--space-y", dest="space_y", help="Y space JSON file")
     report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--tol", type=float, default=1e-8, help="pass tolerance")
+    report.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help="pass tolerance")
     report.add_argument("--format", choices=["json", "csv"], default="json")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output file (default stdout)")
@@ -233,27 +222,31 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", parents=[pair, report, out],
                            help="evaluate the commutation residual for f, g, spaces, and h")
     check.add_argument("--h", help="simple-function JSON file")
+    check.set_defaults(run=_cmd_check)
     witness = sub.add_parser("witness", parents=[pair, out],
                              help="search for a simple function on which f and g fail to commute")
     witness.add_argument("--grid", type=int, default=21, help="points per search axis")
     witness.add_argument("--range", dest="value_range", default="0.1:10",
                          help="search value range LO:HI")
     witness.add_argument("--spacing", choices=["linear", "geometric"], default="geometric")
-    witness.add_argument("--threshold", type=float, default=1e-4,
+    witness.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                          help="witness residual threshold")
     witness.add_argument("--workers", type=int, default=1, help="search partitions")
+    witness.set_defaults(run=_cmd_witness)
     suite = sub.add_parser("suite", parents=[report, out],
                            help="run both seeded commutation suites")
-    suite.add_argument("--seed", type=int, default=42, help="suite RNG seed")
-    sub.add_parser("phi", parents=[pair, report, out],
-                   help="emit scalar-reduction diagnostics for a pair")
+    suite.add_argument("--seed", type=int, default=DEFAULT_SEED, help="suite RNG seed")
+    suite.set_defaults(run=_cmd_suite)
+    phi = sub.add_parser("phi", parents=[pair, report, out],
+                         help="emit scalar-reduction diagnostics for a pair")
+    phi.set_defaults(run=_cmd_phi)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, doc = dispatch(args)
+        code, doc = args.run(args)
     except RangeError as exc:
         stage = f" [stage: {exc.stage}]" if exc.stage else ""
         print(f"range error: {exc}{stage}", file=sys.stderr)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["DomainError", "RangeError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside a generator's domain interval."""

@@ -37,7 +37,7 @@ import numpy as np
 from .generators import CodomainKind, Generator
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .means import SimpleFunctionMatrix, commutation_residual
-from .residuals import ResidualReport
+from .residuals import DEFAULT_ZERO_TOL, ResidualReport
 
 __all__ = [
     "BlockScenario",
@@ -307,7 +307,7 @@ def linear_form_fit(
     alpha1: float,
     alpha2: float,
     sample_grid: Sequence[tuple[float, float]] | None = None,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_ZERO_TOL,
 ) -> LinearFit | None:
     """Least-squares fit Phi(x, y) ~ a*x + b*y, accepted only if it is exact.
 
@@ -363,7 +363,7 @@ def proportionality_extract(
     f: Generator,
     g: Generator,
     sample_grid: Sequence[float] | None = None,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_ZERO_TOL,
 ) -> float | None:
     """Extract c > 0 with phi(s) = c*s, or None when phi is not linear.
 
@@ -403,7 +403,7 @@ def run_diagnostics(
     alpha2: float = 1.0,
     beta1: float = 1.0,
     beta2: float = 1.0,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_ZERO_TOL,
 ) -> list[dict]:
     """Run every scalar-reduction check at fixed canonical inputs.
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["DEFAULT_ZERO_TOL", "ResidualReport"]
+
 #: Default relative residual below which an identity is considered to hold.
 DEFAULT_ZERO_TOL = 1e-8
 

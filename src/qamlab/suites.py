@@ -35,7 +35,7 @@ from .generators import (
 )
 from .means import STAGE_OK, SimpleFunctionMatrix, commutation_residual, mixed_means
 from .measure_space import DiscreteMeasureSpace, ProductGrid
-from .residuals import ResidualReport
+from .residuals import DEFAULT_ZERO_TOL, ResidualReport
 
 __all__ = ["SuiteResult", "run_finite_measure_suite", "run_probability_suite"]
 
@@ -151,7 +151,7 @@ def _run_cases(
 
 def run_finite_measure_suite(
     seed: int = DEFAULT_SEED,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_ZERO_TOL,
     pairs_per_combo: int = 200,
     h_per_pair: int = 5,
 ) -> SuiteResult:
@@ -184,7 +184,7 @@ def run_finite_measure_suite(
 
 def run_probability_suite(
     seed: int = DEFAULT_SEED,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_ZERO_TOL,
     trials: int = 1000,
 ) -> SuiteResult:
     """Affine pairs f = a*g + b commute on probability spaces.

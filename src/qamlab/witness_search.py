@@ -58,9 +58,12 @@ __all__ = [
     "full_witness_search",
     "refine_witness",
     "MAX_FULL_SEARCH_EVALS",
+    "DEFAULT_THRESHOLD",
 ]
 
 MAX_FULL_SEARCH_EVALS = 10_000_000
+#: Default relative residual above which a search reports a witness.
+DEFAULT_THRESHOLD = 1e-4
 # most candidates, or grid values of table rows, evaluated in one batch
 BATCH_SIZE = 2**18
 
@@ -129,10 +132,7 @@ class Witness:
             "kind": self.kind,
             "masses": masses,
             "values": values,
-            "lhs": self.report.lhs,
-            "rhs": self.report.rhs,
-            "abs_residual": self.report.abs_residual,
-            "rel_residual": self.report.rel_residual,
+            **self.report.to_dict(),
             "skipped_points": self.skipped_points,
         }
 
@@ -337,7 +337,7 @@ def block_witness_search(
     beta1: float,
     beta2: float,
     grid: GridSpec | Sequence[float],
-    threshold: float = 1e-4,
+    threshold: float = DEFAULT_THRESHOLD,
     workers: int = 1,
 ) -> Witness | None:
     """Exhaustively search 2x2 block functions over grid^4 of (x, y, z, w).
@@ -367,7 +367,7 @@ def full_witness_search(
     grid_shape: tuple[int, int],
     spaces: tuple[DiscreteMeasureSpace, DiscreteMeasureSpace],
     value_grid: GridSpec | Sequence[float],
-    threshold: float = 1e-4,
+    threshold: float = DEFAULT_THRESHOLD,
     workers: int = 1,
 ) -> Witness | None:
     """Exhaustively search value matrices of the given shape.

@@ -1,9 +1,18 @@
+import argparse
+import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qamlab.cli import main
+import qamlab
+from qamlab import (block_witness_search, full_witness_search, run_diagnostics,
+                    run_finite_measure_suite, run_probability_suite)
+from qamlab.cli import build_parser, main
 
 
 def write(path, doc):
@@ -270,3 +279,75 @@ class TestOptionsByCommand:
         assert main(["phi", "--f", docs["exp1"], "--g", docs["exp2"], "--format", "csv"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header == "check,inputs,lhs,rhs,abs_residual,rel_residual,pass"
+
+
+class TestSharedParser:
+    def test_repeated_commands_share_one_parser(self, docs, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "qamlab":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        pair = ["--f", docs["exp1"], "--g", docs["exp2"],
+                "--space-x", docs["unit2"], "--space-y", docs["unit2"]]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        sequence = [
+            ["witness", *pair, "--grid", "9"],
+            ["check", *pair, "--h", docs["h"]],
+            ["suite", "--seed", "7"],
+            ["phi", *pair],
+            ["check", *pair],
+            ["suite", "--grid", "5"],
+        ]
+        first = [run(argv) for argv in sequence]
+        second = [run(argv) for argv in sequence]
+        assert first == second
+        assert [code for code, _, _ in first] == [1, 1, 0, 0, 2, ("exit", 2)]
+        assert "requires --h" in first[4][2]
+        assert "unrecognized arguments" in first[5][2]
+        assert len(built) <= 1
+
+    def test_importing_the_cli_builds_no_parser(self):
+        src = str(Path(qamlab.__file__).resolve().parents[1])
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import qamlab.cli\n"
+            "print(len(built))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "0"
+
+    def test_option_defaults_are_the_library_defaults(self):
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        parser = build_parser()
+        suite = parser.parse_args(["suite"])
+        for func in (run_finite_measure_suite, run_probability_suite):
+            assert suite.seed == default(func, "seed")
+            assert suite.tol == default(func, "tol")
+        for command in ("check", "phi"):
+            assert parser.parse_args([command]).tol == default(run_diagnostics, "tol")
+        witness = parser.parse_args(["witness"])
+        for func in (block_witness_search, full_witness_search):
+            assert witness.threshold == default(func, "threshold")
+            assert witness.workers == default(func, "workers")
