@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .errors import DomainError, RangeError
-from .generators import Generator, generator_from_json
+from .generators import generator_from_json
 from .means import SimpleFunctionMatrix, commutation_residual
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .phi_reduction import run_diagnostics
@@ -33,19 +33,15 @@ from .witness_search import (DEFAULT_THRESHOLD, GridSpec, Spacing, block_witness
 __all__ = ["main"]
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, build):
+    """``build`` of the JSON document at ``path``; a malformed document is a ValueError."""
     try:
-        return json.loads(Path(path).read_text())
+        return build(json.loads(Path(path).read_text()))
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read JSON document {path}: {exc}") from exc
-
-
-def _load_generator(path: str) -> Generator:
-    return generator_from_json(_load_json(path))
-
-
-def _load_space(path: str) -> DiscreteMeasureSpace:
-    return DiscreteMeasureSpace.from_json(_load_json(path))
+    except TypeError as exc:
+        # a field of the wrong JSON type, such as {"k": null}
+        raise ValueError(f"malformed document {path}: {exc}") from exc
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -67,10 +63,11 @@ def _tolerance(args: argparse.Namespace) -> float:
 def _cmd_check(args: argparse.Namespace) -> tuple[int, object]:
     tol = _tolerance(args)
     _require(args, "f", "g", "space_x", "space_y", "h")
-    f = _load_generator(args.f)
-    g = _load_generator(args.g)
-    grid = ProductGrid(_load_space(args.space_x), _load_space(args.space_y))
-    h = SimpleFunctionMatrix.from_json(_load_json(args.h))
+    f = _load(args.f, generator_from_json)
+    g = _load(args.g, generator_from_json)
+    grid = ProductGrid(_load(args.space_x, DiscreteMeasureSpace.from_json),
+                       _load(args.space_y, DiscreteMeasureSpace.from_json))
+    h = _load(args.h, SimpleFunctionMatrix.from_json)
     # values outside either domain are a malformed input, not a numeric failure
     for gen in (f, g):
         if not gen.domain.contains_all(h.values):
@@ -93,10 +90,10 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, object]:
 def _cmd_witness(args: argparse.Namespace) -> tuple[int, object]:
     value_range = _parse_range(args.value_range)
     _require(args, "f", "g", "space_x", "space_y")
-    f = _load_generator(args.f)
-    g = _load_generator(args.g)
-    space_x = _load_space(args.space_x)
-    space_y = _load_space(args.space_y)
+    f = _load(args.f, generator_from_json)
+    g = _load(args.g, generator_from_json)
+    space_x = _load(args.space_x, DiscreteMeasureSpace.from_json)
+    space_y = _load(args.space_y, DiscreteMeasureSpace.from_json)
     grid = GridSpec(args.grid, value_range, Spacing(args.spacing))
     if len(space_x) == 2 and len(space_y) == 2:
         wx, wy = space_x.weights, space_y.weights
@@ -132,11 +129,12 @@ def _cmd_suite(args: argparse.Namespace) -> tuple[int, object]:
 def _cmd_phi(args: argparse.Namespace) -> tuple[int, object]:
     tol = _tolerance(args)
     _require(args, "f", "g")
-    f = _load_generator(args.f)
-    g = _load_generator(args.g)
+    f = _load(args.f, generator_from_json)
+    g = _load(args.g, generator_from_json)
     masses: list[float] = []
     for axis, path in (("X", args.space_x), ("Y", args.space_y)):
-        weights = [1.0, 1.0] if path is None else _load_space(path).weights
+        weights = [1.0, 1.0] if path is None else \
+            _load(path, DiscreteMeasureSpace.from_json).weights
         if len(weights) != 2:
             raise ValueError(f"phi diagnostics need a two-atom {axis} space")
         masses += [float(w) for w in weights]

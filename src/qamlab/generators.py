@@ -38,6 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, RangeError
+from .residuals import _relative_residuals
 
 __all__ = [
     "Interval",
@@ -563,13 +564,15 @@ def validate_for_setting(gen: Generator, setting: MeanSetting) -> bool:
     raise ValueError(f"unknown setting: {setting!r}")
 
 
-def _common_sample_grid(f: Generator, g: Generator) -> np.ndarray:
+def _common_samples(f: Generator, g: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """f and g on the sample grid of their common domain."""
     common = f.domain.intersection(g.domain)
     if common is None:
         raise ValueError(
             f"domain mismatch: {f.describe()} and {g.describe()} share no interval"
         )
-    return common.sample_points(_SAMPLE_COUNT)
+    xs = common.sample_points(_SAMPLE_COUNT)
+    return f.eval(xs), g.eval(xs)
 
 
 def is_proportional(
@@ -578,19 +581,16 @@ def is_proportional(
     """Return c > 0 with f = c * g on a shared sample grid, or None.
 
     The candidate ratio is anchored at the sample where |g| is largest and
-    then verified pointwise on the whole grid.
+    then verified pointwise on the whole grid by the ``ResidualReport`` rule.
     """
-    xs = _common_sample_grid(f, g)
-    fv = f.eval(xs)
-    gv = g.eval(xs)
+    fv, gv = _common_samples(f, g)
     anchor = int(np.argmax(np.abs(gv)))
     if gv[anchor] == 0.0:
         return None
     c = fv[anchor] / gv[anchor]
     if not math.isfinite(c) or c <= 0.0:
         return None
-    scale_ = np.maximum(1.0, np.maximum(np.abs(fv), np.abs(gv)))
-    if np.all(np.abs(fv - c * gv) <= tol * scale_):
+    if np.all(_relative_residuals(fv, c * gv) <= tol):
         return float(c)
     return None
 
@@ -601,11 +601,10 @@ def is_affine_equivalent(
     """Return (a, b) with f = a * g + b on a shared sample grid, or None.
 
     (a, b) is fitted from the two extreme samples and verified on all of
-    them; g is injective, so the fit denominator cannot vanish.
+    them by the ``ResidualReport`` rule; g is injective, so the fit
+    denominator cannot vanish.
     """
-    xs = _common_sample_grid(f, g)
-    fv = f.eval(xs)
-    gv = g.eval(xs)
+    fv, gv = _common_samples(f, g)
     denom = gv[-1] - gv[0]
     if denom == 0.0:
         return None
@@ -613,8 +612,7 @@ def is_affine_equivalent(
     if not math.isfinite(a) or a == 0.0:
         return None
     b = fv[0] - a * gv[0]
-    scale_ = np.maximum(1.0, np.maximum(np.abs(fv), np.abs(gv)))
-    if np.all(np.abs(fv - (a * gv + b)) <= tol * scale_):
+    if np.all(_relative_residuals(fv, a * gv + b) <= tol):
         return float(a), float(b)
     return None
 

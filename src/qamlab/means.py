@@ -35,7 +35,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import RangeError
-from .generators import Generator, masked_eval, masked_inverse
+from .generators import Generator, masked_eval, masked_inverse, scale
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .residuals import ResidualReport
 
@@ -111,10 +111,7 @@ def qam(gen: Generator, space: DiscreteMeasureSpace, values: Sequence[float]) ->
     RangeError if the integral of the transformed values escapes the
     generator's range (possible for real-valued generators off unit mass).
     """
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (len(space),):
-        raise ValueError(f"expected {len(space)} values, got shape {vals.shape}")
-    transformed = gen.eval(vals)
+    transformed = gen.eval(values)
     integral = space.integrate(transformed)
     return gen.inverse(integral)
 
@@ -215,12 +212,7 @@ def commutation_residual(
 
     A failure raises the stage-tagged RangeError of the lhs before the rhs.
     """
-    wx, wy, values = _case(grid, h)
-    lhs, lhs_stage, rhs, rhs_stage = mixed_means(f, g, wx, wy, values)
-    return ResidualReport.from_sides(
-        _checked(lhs, lhs_stage, f, g, wy, values, _LHS_STAGES),
-        _checked(rhs, rhs_stage, g, f, wx, values.T, _RHS_STAGES),
-    )
+    return ResidualReport.from_sides(lhs_mixed_mean(f, g, grid, h), rhs_mixed_mean(f, g, grid, h))
 
 
 def scale_invariance_residual(
@@ -234,8 +226,6 @@ def scale_invariance_residual(
     These agree identically for every positive alpha, on any finite
     measure space; the residual measures only floating-point noise.
     """
-    from .generators import scale
-
     lhs = qam(gen, space, values)
     rhs = qam(scale(gen, alpha), space, values)
     return ResidualReport.from_sides(lhs, rhs)

@@ -37,7 +37,7 @@ import numpy as np
 from .generators import CodomainKind, Generator
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .means import SimpleFunctionMatrix, commutation_residual
-from .residuals import DEFAULT_ZERO_TOL, ResidualReport
+from .residuals import DEFAULT_ZERO_TOL, ResidualReport, _relative_residuals
 
 __all__ = [
     "BlockScenario",
@@ -327,10 +327,7 @@ def linear_form_fit(
     if rank < 2:
         raise ValueError("degenerate sample grid: points do not determine a linear form")
     a, b = float(coef[0]), float(coef[1])
-    fitted = pts @ coef
-    max_resid = float(
-        np.max(np.abs(vals - fitted) / np.maximum(1.0, np.maximum(np.abs(vals), np.abs(fitted))))
-    )
+    max_resid = float(np.max(_relative_residuals(vals, pts @ coef)))
     if max_resid <= tol and a >= 0.0 and b >= 0.0 and a + b > 0.0:
         return LinearFit(a=a, b=b, max_fit_residual=max_resid)
     return None
@@ -367,10 +364,9 @@ def proportionality_extract(
 ) -> float | None:
     """Extract c > 0 with phi(s) = c*s, or None when phi is not linear.
 
-    Two conditions are verified on the grid: the ratio phi(s)/s is
-    constant to tol, and phi is additive on consecutive sample pairs,
-    |phi(x + y) - phi(x) - phi(y)| <= tol * scale.  Both hold exactly when
-    f = c*g.
+    Two conditions are verified on the grid by the ``ResidualReport``
+    rule: phi(s) = c*s, and phi is additive on consecutive sample pairs,
+    phi(x + y) = phi(x) + phi(y).  Both hold exactly when f = c*g.
     """
     if sample_grid is None:
         sample_grid = np.geomspace(0.1, 10.0, 17)
@@ -381,14 +377,12 @@ def proportionality_extract(
     c = float(np.median(ratios))
     if not math.isfinite(c) or c <= 0.0:
         return None
-    scale_ = np.maximum(1.0, np.abs(phi_vals))
-    if not np.all(np.abs(phi_vals - c * ss) <= tol * scale_):
+    # before the ratio test overwrites phi_vals
+    parts = phi_vals[:-1] + phi_vals[1:]
+    if not np.all(_relative_residuals(phi_vals, c * ss) <= tol):
         return None
-    for x, y in zip(ss[:-1], ss[1:]):
-        total = phi_eval(f, g, x + y)
-        parts = phi_eval(f, g, x) + phi_eval(f, g, y)
-        if abs(total - parts) > tol * max(1.0, abs(total), abs(parts)):
-            return None
+    if not np.all(_relative_residuals(phi_eval(f, g, ss[:-1] + ss[1:]), parts) <= tol):
+        return None
     return c
 
 

@@ -1,8 +1,14 @@
-"""Two-sided identity checks reported as residuals."""
+"""Two-sided identity checks reported as residuals.
+
+Every pass/fail verdict of the package is this module's rule: the relative
+residual of two sides at most a tolerance, for one pair or for arrays of them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["DEFAULT_ZERO_TOL", "ResidualReport"]
 
@@ -42,3 +48,20 @@ class ResidualReport:
             "abs_residual": self.abs_residual,
             "rel_residual": self.rel_residual,
         }
+
+
+def _relative_residuals(lhs: np.ndarray, rhs: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """The ``ResidualReport`` rel residual of each pair of sides; NaN where a side is not finite.
+
+    Computed in place, overwriting ``lhs`` and ``rhs``, into ``out`` when
+    one is given, so that a search's batches allocate no temporaries.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        rel = np.subtract(lhs, rhs, out=out)
+        np.abs(rel, out=rel)
+        denom = np.abs(lhs, out=lhs)
+        np.maximum(denom, np.abs(rhs, out=rhs), out=denom)
+        np.maximum(denom, 1.0, out=denom)
+        rel /= denom
+    return rel

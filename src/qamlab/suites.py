@@ -138,11 +138,8 @@ def _run_cases(
                 "g": g.describe(),
                 "masses_x": texts[id(wx)],
                 "masses_y": texts[id(wy)],
-                "lhs": report.lhs,
-                "rhs": report.rhs,
-                "abs_residual": report.abs_residual,
-                "rel_residual": report.rel_residual,
-                "pass": report.rel_residual <= tol,
+                **report.to_dict(),
+                "pass": report.passes(tol),
             }
         )
     result.max_rel_residual = worst

@@ -22,9 +22,9 @@ table would hold one entry per candidate, so each batch builds its own
 part of it instead.  The sides equal ``mixed_means`` bit for bit only
 because every weighted sum adds its terms in the order of ``np.sum``
 (see ``_weighted_sum``).  The batches are split into one contiguous run
-per worker, and the merge walks them in index order keeping the
-smallest index of the largest residual, so the result does not depend
-on the worker count.
+per worker, at most one per CPU, and the merge walks them in index
+order keeping the smallest index of the largest residual, so the result
+does not depend on the worker count.
 
 Each worker allocates its batch buffers once, and the sums, the
 generator inverses (``_inverse_raw(y, out)``) and the residuals write
@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -48,7 +49,7 @@ import numpy as np
 from .generators import Generator, masked_eval, masked_inverse
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .means import SimpleFunctionMatrix, _masked_mean, commutation_residual, mixed_means
-from .residuals import ResidualReport
+from .residuals import ResidualReport, _relative_residuals
 
 __all__ = [
     "Spacing",
@@ -157,20 +158,25 @@ def _tuple_means(outer: Generator, inner: Generator, weights: np.ndarray, pts: n
                  first: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """``outer`` of the ``inner``-mean of ``weights.size``-tuples of grid points.
 
-    Tuple k holds the grid points of the base-``pts.size`` digits of k;
-    the flat result covers tuples ``first`` to ``first + out.size``,
-    written into ``out``, or all of them in a new array.
+    Tuple k is the ``_decode`` of index k; the flat result covers tuples
+    ``first`` to ``first + out.size``, written into ``out``, or all of
+    them in a new array.
     """
-    shape = (pts.size,) * weights.size
-    table = np.empty(math.prod(shape)) if out is None else out
+    table = np.empty(pts.size ** weights.size) if out is None else out
     step = max(1, BATCH_SIZE // weights.size)
     for start in range(0, table.size, step):
-        # one expression, so that the digit arrays are freed before the means
-        values = pts[np.stack(np.unravel_index(
-            first + np.arange(start, min(start + step, table.size)), shape), axis=-1)]
+        values = _decode(first + np.arange(start, min(start + step, table.size)), pts,
+                         (weights.size,))
         with np.errstate(all="ignore"):
             table[start:start + step] = masked_eval(outer, _masked_mean(inner, weights, values))
     return table
+
+
+def _decode(indices, pts: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Value arrays of flat candidate indices: their base-``pts.size`` digits, in ``shape``."""
+    radix = pts.size ** np.arange(math.prod(shape) - 1, -1, -1, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    return pts[(indices[..., None] // radix) % pts.size].reshape(indices.shape + shape)
 
 
 def _weighted_sum(products: list, out: np.ndarray) -> np.ndarray:
@@ -249,30 +255,6 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
     return sides, npts**digits, batch
 
 
-def _decode(indices, pts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Value matrices of flat candidate indices: their base-``pts.size`` digits."""
-    radix = pts.size ** np.arange(shape[0] * shape[1] - 1, -1, -1, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    return pts[(indices[..., None] // radix) % pts.size].reshape(indices.shape + shape)
-
-
-def _relative_residuals(lhs: np.ndarray, rhs: np.ndarray,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """The ``ResidualReport`` rel residual of each pair of sides; NaN where a side is not finite.
-
-    Computed in place, overwriting ``lhs`` and ``rhs``, into ``out`` when
-    one is given, so that a search's batches allocate no temporaries.
-    """
-    with np.errstate(invalid="ignore"):
-        rel = np.subtract(lhs, rhs, out=out)
-        np.abs(rel, out=rel)
-        denom = np.abs(lhs, out=lhs)
-        np.maximum(denom, np.abs(rhs, out=rhs), out=denom)
-        np.maximum(denom, 1.0, out=denom)
-        rel /= denom
-    return rel
-
-
 def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness | None:
     """The value matrix on the spaces with the largest relative residual, if above threshold.
 
@@ -299,9 +281,10 @@ def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness 
             results.append((float(rel[local]), start + local, int(np.count_nonzero(skipped))))
         return results
 
-    # one contiguous run of batches per worker; one run stays in this
-    # thread, so that an interrupt stops it
-    parts = [p for p in np.array_split(np.arange(0, total, batch), workers) if p.size]
+    # one contiguous run of batches per worker, at most one per CPU; one run
+    # stays in this thread, so that an interrupt stops it
+    parts = [p for p in np.array_split(np.arange(0, total, batch),
+                                       min(workers, os.cpu_count() or 1)) if p.size]
     if len(parts) == 1:
         results = [chunk(parts[0])]
     else:

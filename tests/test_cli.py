@@ -351,3 +351,25 @@ class TestSharedParser:
         for func in (block_witness_search, full_witness_search):
             assert witness.threshold == default(func, "threshold")
             assert witness.workers == default(func, "workers")
+
+
+class TestMalformedDocuments:
+    # a field of the wrong JSON type, in each kind of document
+    @pytest.mark.parametrize("slot, doc", [
+        ("f", {"family": "exp", "k": None}),
+        ("f", {"family": "exp", "affine": {"a": [1], "b": 0}}),
+        ("space_x", {"weights": {"a": 1}}),
+        ("space_x", {"weights": [1, 1], "labels": 5}),
+        ("h", {"values": {"a": 1}}),
+    ])
+    def test_wrong_field_type_exits_2(self, docs, capsys, slot, doc):
+        paths = {"f": docs["exp1"], "space_x": docs["unit2"], "h": docs["h"],
+                 slot: write(docs["tmp"] / "malformed.json", doc)}
+        code = main(["check", "--f", paths["f"], "--g", docs["exp2"],
+                     "--space-x", paths["space_x"], "--space-y", docs["unit2"],
+                     "--h", paths["h"]])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("input error: ") and out.err.count("\n") == 1
+        assert "Traceback" not in out.err

@@ -524,3 +524,33 @@ class TestOneAtomTables:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+class TestWorkerCap:
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        f, g = ExpGenerator(1.0), ExpGenerator(2.0)
+        grid = GridSpec(9, (0.1, 10.0))
+        alone = block_witness_search(f, g, 0.7, 1.3, 1.1, 0.6, grid)
+        pools = []
+
+        class InlinePool:
+            """Records its size and runs the parts in this thread."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, parts):
+                return [fn(part) for part in parts]
+
+        monkeypatch.setattr(witness_search, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(witness_search.os, "cpu_count", lambda: 3)
+        # 9 batches of 9^3 candidates, so 5000 workers would otherwise ask for 9 threads
+        capped = block_witness_search(f, g, 0.7, 1.3, 1.1, 0.6, grid, workers=5000)
+        assert pools == [3]
+        assert capped == alone
