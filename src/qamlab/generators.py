@@ -101,11 +101,16 @@ class Interval:
         return self.lower_open and self.upper_open
 
     def contains(self, x) -> np.ndarray | bool:
+        ok = self._mask(x)
+        return bool(ok) if ok.ndim == 0 else ok
+
+    def _mask(self, x):
+        """``contains`` as a numpy bool array, or a numpy bool for a 0-d x."""
         # infinite ends are open, so the two comparisons reject NaN and +-inf
         x = np.asarray(x, dtype=float)
         ok = (x > self.lower) if self.lower_open else (x >= self.lower)
         ok &= (x < self.upper) if self.upper_open else (x <= self.upper)
-        return bool(ok) if ok.ndim == 0 else ok
+        return ok
 
     def contains_all(self, x) -> bool:
         return bool(np.all(self.contains(x)))
@@ -258,8 +263,8 @@ def _masked(raw, valid: Interval, x: np.ndarray, out: np.ndarray | None = None) 
 
     Only the fallback for a partly invalid x allocates when ``out`` is given.
     """
-    ok = valid.contains(x)
-    if np.all(ok):
+    ok = valid._mask(x)
+    if ok.all():
         return raw(x) if out is None else raw(x, out)
     return _into(np.where(ok, raw(np.where(ok, x, _interior_seed(valid))), np.nan), out)
 
@@ -319,11 +324,13 @@ def _bisect_scalar(gen: Generator, y: float) -> float:
     else:
         raise RangeError(f"could not bracket {y} in the range of {gen.describe()}")
     increasing = fhi >= flo
+    raw, f64, tol = gen._eval_raw, np.float64, _BISECT_REL_TOL
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_REL_TOL * max(1.0, abs(mid)):
+        # max(1, |mid|) inline: 1.0 for +-0.0 and NaN too
+        if hi - lo <= tol * (mid if mid > 1.0 else -mid if mid < -1.0 else 1.0):
             return mid
-        if (float(gen._eval_raw(np.float64(mid))) < y) == increasing:
+        if (float(raw(f64(mid))) < y) == increasing:
             lo = mid
         else:
             hi = mid

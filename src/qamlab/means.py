@@ -16,7 +16,10 @@ integral sums a contiguous last axis in the order of
 nested ``qam`` calls.  The randomized suites feed it whole batches with
 masses per case, and the witness searches build their tables with its
 ``_masked_mean``; ``lhs_mixed_mean``, ``rhs_mixed_mean`` and
-``commutation_residual`` are batches of one.
+``commutation_residual`` are batches of one.  Each nested mean opens one
+``np.errstate(all="ignore")``, so an overflow or an invalid operation
+becomes the NaN of its side, never a RuntimeWarning, and its stage codes
+are worked out only when a side has a NaN: a clean batch gets zeros.
 
 Note that without unit total mass the mean is not internal: for weights
 (1, 2) and exp, the constant function 0 has mean ln(3), not 0.  Outside
@@ -127,17 +130,24 @@ _RHS_STAGES = (("inner-X", "inner mean over X failed at Y atom {}"),
 
 
 def _masked_mean(gen: Generator, weights, values: np.ndarray) -> np.ndarray:
-    """Means over the last axis; NaN where a value or the integral leaves gen."""
-    with np.errstate(all="ignore"):
-        return masked_inverse(gen, np.sum(weights * masked_eval(gen, values), axis=-1))
+    """Means over the last axis; NaN where a value or the integral leaves gen.
+
+    Call it under ``np.errstate(all="ignore")``: the NaN stands for the warning.
+    """
+    return masked_inverse(gen, (weights * masked_eval(gen, values)).sum(axis=-1))
 
 
 def _nested_mean(outer: Generator, inner: Generator, w_outer, w_inner, values: np.ndarray):
     """Outer mean over axis -2 of the inner means over axis -1, with stage codes."""
-    mid = _masked_mean(inner, w_inner[..., None, :], values)
-    out = _masked_mean(outer, w_outer, mid)
+    with np.errstate(all="ignore"):
+        mid = _masked_mean(inner, w_inner[..., None, :], values)
+        out = _masked_mean(outer, w_outer, mid)
+    failed = np.isnan(out)
+    if not failed.any():
+        # STAGE_OK everywhere, in the dtype of the np.where below
+        return out, np.zeros(failed.shape, dtype=int)
     stage = np.where(np.isnan(mid).any(axis=-1), STAGE_INNER, STAGE_OUTER)
-    return out, np.where(np.isnan(out), stage, STAGE_OK)
+    return out, np.where(failed, stage, STAGE_OK)
 
 
 def _transposed(values: np.ndarray) -> np.ndarray:
@@ -171,7 +181,8 @@ def _checked(mean, stage, outer: Generator, inner: Generator, w_inner, values, s
     if stage == STAGE_OK:
         return float(mean)
     (inner_tag, inner_text), (outer_tag, outer_text) = stages
-    mid = _masked_mean(inner, w_inner, values)
+    with np.errstate(all="ignore"):
+        mid = _masked_mean(inner, w_inner, values)
     if stage == STAGE_INNER:
         atom = int(np.flatnonzero(np.isnan(mid))[0])
         gen, args, tag, text = inner, values[atom], inner_tag, inner_text.format(atom)

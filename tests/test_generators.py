@@ -192,6 +192,26 @@ class TestArrayBisection:
         assert np.shape(got) == shape
         assert np.array_equal(_bits(got), _bits(want))
 
+    # x at which the stopping rule's max(1, |mid|) changes branch: 0, +-1 and
+    # their neighbours, and +-3 beyond them; in both monotone directions
+    EDGE_X = [0.0, 1e-300, -1e-300, 1.0, -1.0, 1.0 + 2.0**-52, -1.0 - 2.0**-52,
+              1.0 - 2.0**-52, -1.0 + 2.0**-52, 3.0, -3.0]
+    EDGE_CASES = {
+        "exp-increasing": CASES["exp-increasing"][0],
+        "exp-decreasing": CASES["exp-decreasing"][0],
+        "linear-increasing": _Bisecting("3x", lambda x: 3.0 * x, _REALS, _REALS),
+        "linear-decreasing": _Bisecting("-3x", lambda x: -3.0 * x, _REALS, _REALS, False),
+    }
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_targets_where_the_stopping_scale_changes_branch(self, case):
+        gen = self.EDGE_CASES[case]
+        y = gen._eval_raw(np.array(self.EDGE_X))
+        want = _per_element(gen, y)
+        assert np.array_equal(_bits(_array_loop(gen, y)), _bits(want))
+        assert np.array_equal(_bits(gen._inverse_raw(y)), _bits(want))
+        assert want == pytest.approx(self.EDGE_X, rel=1e-11, abs=1e-11)
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_affine_with_negative_slope_over_a_bisecting_generator(self, shape):
         inner = _bisect_exp(1.5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qamlab import (
     scale,
     scale_invariance_residual,
 )
+from qamlab.means import STAGE_INNER, STAGE_OK, STAGE_OUTER
 from conftest import random_in_domain
 
 LN2, LN3, LN4 = math.log(2.0), math.log(3.0), math.log(4.0)
@@ -260,6 +262,71 @@ class TestMixedMeans:
         h = SimpleFunctionMatrix([[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             lhs_mixed_mean(ExpGenerator(1.0), ExpGenerator(1.0), unit_square_grid(), h)
+
+
+class TestKernelErrorState:
+    """The kernel ignores floating-point errors itself, under one ``np.errstate``.
+
+    Called outside any ``np.errstate``, no RuntimeWarning escapes; a failing
+    side is NaN with its stage code, the scalar entry points raise its
+    stage-tagged RangeError, and a clean batch's stage codes are zeros of
+    the batch shape in the dtype of a failing batch's.
+    """
+
+    SHIFTED = affine(ExpGenerator(1.0), 1.0, 1.0)  # range (1, inf)
+    # name -> (f, g, wx, wy, h, (lhs, rhs) stage codes, (lhs, rhs) RangeError tags)
+    CASES = {
+        # exp(2 * 400) overflows: in the lhs's outer mean, the rhs's inner ones
+        "overflow": (ExpGenerator(2.0), ExpGenerator(1.0), [0.5, 0.5], [0.5, 0.5],
+                     np.full((2, 2), 400.0), (STAGE_OUTER, STAGE_INNER), ("outer-X", "inner-X")),
+        # masses 0.1 pull the shifted generator's integrals below 1
+        "range-escape": (ExpGenerator(1.0), SHIFTED, [1.0, 1.0], [0.1, 0.1],
+                         np.zeros((2, 2)), (STAGE_INNER, STAGE_OUTER), ("inner-Y", "outer-Y")),
+        "clean": (ExpGenerator(1.0), ExpGenerator(2.0), [0.5, 0.5], [0.2, 0.3, 0.5],
+                  np.zeros((2, 3)), (STAGE_OK, STAGE_OK), (None, None)),
+    }
+    BATCH = 4
+
+    def run(self, name):
+        f, g, wx, wy, h, _, _ = self.CASES[name]
+        assert np.geterr()["over"] == "warn"  # outside any np.errstate
+        grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
+        results = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results["batch"] = mixed_means(f, g, wx, wy, np.stack([h] * self.BATCH))
+            results["one"] = mixed_means(f, g, wx, wy, h)
+            for entry in (lhs_mixed_mean, rhs_mixed_mean, commutation_residual):
+                try:
+                    results[entry.__name__] = entry(f, g, grid, SimpleFunctionMatrix(h))
+                except RangeError as exc:
+                    results[entry.__name__] = exc
+        return results
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_stage_codes_and_tags(self, name):
+        stages, tags = self.CASES[name][5:]
+        results = self.run(name)
+        for key, shape in (("batch", (self.BATCH,)), ("one", ())):
+            lhs, lhs_stage, rhs, rhs_stage = results[key]
+            for mean, stage, want in ((lhs, lhs_stage, stages[0]), (rhs, rhs_stage, stages[1])):
+                assert isinstance(stage, np.ndarray) and stage.shape == shape
+                assert np.array_equal(stage, np.full(shape, want))
+                assert np.array_equal(np.isnan(mean), np.full(shape, want != STAGE_OK))
+        for entry, tag in (("lhs_mixed_mean", tags[0]), ("rhs_mixed_mean", tags[1]),
+                           ("commutation_residual", tags[0] or tags[1])):
+            got = results[entry]
+            assert (got.stage if isinstance(got, RangeError) else None) == tag
+        if name == "clean":
+            lhs, _, rhs, _ = results["batch"]
+            report = results["commutation_residual"]
+            assert (report.lhs, report.rhs) == (lhs[0], rhs[0])
+
+    def test_clean_stage_codes_have_the_failure_dtype(self):
+        clean, failed = self.run("clean")["batch"], self.run("overflow")["batch"]
+        for k in (1, 3):
+            assert clean[k].dtype == failed[k].dtype
+            assert np.array_equal(clean[k], np.zeros(self.BATCH, dtype=failed[k].dtype))
 
 
 class TestScaleInvariance:

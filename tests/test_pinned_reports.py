@@ -1,4 +1,4 @@
-"""`qamlab check` and `qamlab phi` output pinned byte for byte on a fixed set of inputs.
+"""`qamlab check`, `qamlab phi` and `qamlab suite` output pinned byte for byte.
 
 Each file under ``tests/data/reports/`` is the exact stdout of one case,
 ``<pair>-<command>.<format>``, written by the CLI with numpy 2.4.6 on
@@ -7,8 +7,13 @@ relative-residual rule of ``qamlab.residuals``.  The pairs are the five
 generator pairs of the benchmark's witness workload.  To add a case,
 write its file from a build whose output is already trusted: the test
 never rewrites them.
+
+`qamlab suite` prints megabytes, so its stdout is pinned by SHA-256
+digest instead, written with numpy 2.4.6 before the suites computed
+their residuals as one array.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -57,3 +62,20 @@ def test_report_output_is_pinned(tmp_path, capsys, label, command, fmt):
     assert (out.out, out.err) == (pinned, "")
     # phi always exits 0; check exits 1 when the two sides disagree
     assert code == (1 if command == "check" and label != "proportional-control" else 0)
+
+
+# (seed, format) -> SHA-256 of `qamlab suite --seed S --format F` stdout
+SUITE_DIGESTS = {
+    ("42", "json"): "de74125abe52022bdd448d8989f0a98761436aa91a7c9c63d3b0b71be7cd297a",
+    ("42", "csv"): "d562dc76b46f5f43dfd8b1493352db58954d55e77e51bf5a0914ab4c8ac06583",
+    ("7", "json"): "066f7e268fe5336c1d987f2a5b18838bade729a598cff2930880f0d637e95436",
+    ("7", "csv"): "cb3f5d02ea5c8eb6a629893a63eb1a46d9f5ba849c7ee1310512bba769abec5e",
+}
+
+
+@pytest.mark.parametrize("seed, fmt", SUITE_DIGESTS, ids=[f"{s}-{f}" for s, f in SUITE_DIGESTS])
+def test_suite_output_is_pinned(capsys, seed, fmt):
+    assert main(["suite", "--seed", seed, "--format", fmt]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == SUITE_DIGESTS[seed, fmt]
