@@ -8,12 +8,13 @@ suite pairs f = a*g + b over real-valued injections on probability
 spaces.  All randomness flows from one seed, so runs are reproducible.
 
 The cases are drawn first, in a fixed order from one RNG stream, then
-grouped by (f, g, shape) and each group is evaluated as one batch of the
-``mixed_means`` kernel, with its own masses per case.  Grouping changes
-neither the case order, the RNG stream nor any row: each case's sides
-equal those of ``commutation_residual`` bit for bit, and a failing case
-raises the same stage-tagged RangeError, that of the first failing case
-in case order.
+grouped by (f, g) and each group is evaluated as one batch of the
+``mixed_means`` kernel, with its own masses per case; a case smaller than
+its group's largest shape is padded with zero-mass atoms.  Grouping and
+padding change neither the case order, the RNG stream nor any row: each
+case's sides equal those of ``commutation_residual`` bit for bit, and a
+failing case raises the same stage-tagged RangeError, that of the first
+failing case in case order.
 """
 
 from __future__ import annotations
@@ -97,20 +98,50 @@ def _run_cases(
     tol: float,
     cases,  # iterable of (f, g, wx, wy, H): generators, masses, values
 ) -> SuiteResult:
-    """One ``mixed_means`` batch per (f, g, shape) group; rows in case order."""
+    """One ``mixed_means`` batch per (f, g) group; rows in case order.
+
+    A group's cases are laid out in runs of equal shape and padded, a run
+    at a time, to the group's largest shape with zero-mass atoms: a pad Y
+    atom repeats the case's first column, a pad X atom its first row.  No
+    side changes by a bit:
+
+    - a pad term ``0.0 * v`` joins a sum of at most three terms with the
+      sign of the real term whose value it repeats, so it changes no sum
+      (it could only turn a sum of real -0.0 terms into +0.0, and then
+      the pad would be -0.0 too);
+    - pad values repeat valid ones, so the range masks and stage codes
+      are unchanged;
+    - where a real term is +-inf, every range mask already rejects the
+      sum, and the pad's ``0 * inf = NaN`` is rejected the same way.
+
+    The zero masses live only in these batch arrays, never in a
+    ``DiscreteMeasureSpace``, which rejects them.  Run order is not case
+    order, so every failing case is collected and the first in case
+    order raises.
+    """
     cases = list(cases)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, dict[tuple, list[int]]] = {}
     for k, (f, g, _, _, values) in enumerate(cases):
-        groups.setdefault((f, g, values.shape), []).append(k)
+        groups.setdefault((f, g), {}).setdefault(values.shape, []).append(k)
 
     lhs, rhs = np.empty(len(cases)), np.empty(len(cases))
     failed = []
-    for (f, g, _), idx in groups.items():
-        wx, wy, values = (np.array([cases[k][a] for k in idx]) for a in (2, 3, 4))
-        lhs[idx], lhs_stage, rhs[idx], rhs_stage = mixed_means(f, g, wx, wy, values)
-        bad = np.flatnonzero((lhs_stage != STAGE_OK) | (rhs_stage != STAGE_OK))
-        if bad.size:
-            failed.append(idx[bad[0]])
+    for (f, g), runs in groups.items():
+        order = np.array([k for idx in runs.values() for k in idx])
+        m, n = (max(dims) for dims in zip(*runs))
+        wx, wy = np.zeros((order.size, m)), np.zeros((order.size, n))
+        values = np.empty((order.size, m, n))
+        stop = 0
+        for (mk, nk), idx in runs.items():
+            run = slice(stop, stop + len(idx))
+            stop = run.stop
+            wx[run, :mk] = [cases[k][2] for k in idx]
+            wy[run, :nk] = [cases[k][3] for k in idx]
+            values[run, :mk, :nk] = [cases[k][4] for k in idx]
+            values[run, :mk, nk:] = values[run, :mk, :1]
+            values[run, mk:] = values[run, :1]
+        lhs[order], lhs_stage, rhs[order], rhs_stage = mixed_means(f, g, wx, wy, values)
+        failed += order[(lhs_stage != STAGE_OK) | (rhs_stage != STAGE_OK)].tolist()
     if failed:
         # the scalar path raises the stage-tagged error of the first failing case
         f, g, wx, wy, values = cases[min(failed)]
@@ -126,7 +157,7 @@ def _run_cases(
     # consecutive cases share their spaces: format each mass array once,
     # by id, which stays unique while ``cases`` holds every array
     texts = {}
-    names = {(f, g): (f.describe(), g.describe()) for f, g, _ in groups}
+    names = {(f, g): (f.describe(), g.describe()) for f, g in groups}
     for case_id, ((f, g, wx, wy, _), lhs_k, rhs_k, abs_k, rel_k) in enumerate(
             zip(cases, lhs.tolist(), rhs.tolist(), abs_res, rel.tolist())):
         for w in (wx, wy):
@@ -168,8 +199,9 @@ def run_finite_measure_suite(
                     my = int(rng.integers(2, 4))
                     wx = _random_masses(rng, mx, _random_total_mass(rng))
                     wy = _random_masses(rng, my, _random_total_mass(rng))
-                    for _ in range(h_per_pair):
-                        yield f, g, wx, wy, _random_values(rng, g.domain, (mx, my))
+                    # one draw of the same stream, in the same order, as h_per_pair draws
+                    yield from ((f, g, wx, wy, values) for values in
+                                _random_values(rng, g.domain, (h_per_pair, mx, my)))
 
     return _run_cases("finite-measure-proportional", tol, cases())
 
