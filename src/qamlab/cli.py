@@ -6,8 +6,8 @@ function on which the pair fails to commute; ``suite`` runs both seeded
 commutation suites; ``phi`` emits the scalar-reduction diagnostics for a
 pair.  Input documents are the JSON schemas of the owning modules.
 
-Exit codes: 0 pass / no witness, 1 check failed / witness found,
-2 malformed input, 3 numeric range failure (message carries the stage).
+Exit codes: 0 pass / no witness, 1 check failed / witness found, 2 malformed
+input or unwritable --out, 3 numeric range failure (message names the stage).
 """
 
 from __future__ import annotations
@@ -245,14 +245,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc = args.run(args)
+        _write(doc, args)
     except RangeError as exc:
         stage = f" [stage: {exc.stage}]" if exc.stage else ""
         print(f"range error: {exc}{stage}", file=sys.stderr)
         return 3
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
+        # an OSError here is an --out that cannot be written; _load turns
+        # an unreadable input into a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    _write(doc, args)
     return code
 
 

@@ -18,15 +18,14 @@ masses per case, and the witness searches build their tables with its
 ``_masked_mean``; ``lhs_mixed_mean``, ``rhs_mixed_mean`` and
 ``commutation_residual`` are batches of one.  Each nested mean opens one
 ``np.errstate(all="ignore")``, so an overflow or an invalid operation
-becomes the NaN of its side, never a RuntimeWarning, and its stage codes
-are worked out only when a side has a NaN: a clean batch gets zeros.
+becomes the NaN of its side, never a RuntimeWarning.
 
 Note that without unit total mass the mean is not internal: for weights
 (1, 2) and exp, the constant function 0 has mean ln(3), not 0.  Outside
 the settings where well-posedness is guaranteed (probability spaces for
 real-valued generators; any finite measure for positive bijections) an
-inner integral can leave the generator's range.  The kernel then marks
-the case with a stage code instead of a value, and the scalar entry points
+inner integral can leave the generator's range.  The kernel then gives
+the case's side a NaN instead of a value, and the scalar entry points
 raise a stage-tagged RangeError naming the stage and the atom, checked in
 the order inner-Y, outer-X (the lhs), inner-X, outer-Y (the rhs).
 """
@@ -119,9 +118,6 @@ def qam(gen: Generator, space: DiscreteMeasureSpace, values: Sequence[float]) ->
     return gen.inverse(integral)
 
 
-# stage codes of ``mixed_means``, per side and case
-STAGE_OK, STAGE_INNER, STAGE_OUTER = 0, 1, 2
-
 # (tag, message) of a side's inner and outer failure
 _LHS_STAGES = (("inner-Y", "inner mean over Y failed at X atom {}"),
                ("outer-X", "outer mean over X failed"))
@@ -138,16 +134,9 @@ def _masked_mean(gen: Generator, weights, values: np.ndarray) -> np.ndarray:
 
 
 def _nested_mean(outer: Generator, inner: Generator, w_outer, w_inner, values: np.ndarray):
-    """Outer mean over axis -2 of the inner means over axis -1, with stage codes."""
+    """Outer mean over axis -2 of the inner means over axis -1; NaN where either fails."""
     with np.errstate(all="ignore"):
-        mid = _masked_mean(inner, w_inner[..., None, :], values)
-        out = _masked_mean(outer, w_outer, mid)
-    failed = np.isnan(out)
-    if not failed.any():
-        # STAGE_OK everywhere, in the dtype of the np.where below
-        return out, np.zeros(failed.shape, dtype=int)
-    stage = np.where(np.isnan(mid).any(axis=-1), STAGE_INNER, STAGE_OUTER)
-    return out, np.where(failed, stage, STAGE_OK)
+        return _masked_mean(outer, w_outer, _masked_mean(inner, w_inner[..., None, :], values))
 
 
 def _transposed(values: np.ndarray) -> np.ndarray:
@@ -158,11 +147,12 @@ def _transposed(values: np.ndarray) -> np.ndarray:
 def mixed_means(f: Generator, g: Generator, wx, wy, values):
     """Both partially mixed means of a batch of simple functions H[..., m, n].
 
-    Returns ``(lhs, lhs_stage, rhs, rhs_stage)``.  The lhs is the f-mean
-    over X of the g-means over Y; the rhs is the same nested mean of
-    ``(g, f, wy, wx, H^T)``.  A case whose value or integral leaves a
-    generator's domain or range has NaN on that side and the stage code
-    STAGE_INNER or STAGE_OUTER of its first failure; STAGE_OK otherwise.
+    Returns ``(lhs, rhs)``, each of the batch shape ``H.shape[:-2]``.
+    The lhs is the f-mean over X of the g-means over Y; the rhs is the same
+    nested mean of ``(g, f, wy, wx, H^T)``.  A case whose value or integral
+    leaves a generator's domain or range has NaN on that side; which stage
+    failed is named only by the RangeError of ``lhs_mixed_mean`` and
+    ``rhs_mixed_mean``.
 
     The weights ``wx[..., m]`` and ``wy[..., n]`` broadcast with
     ``H[..., m, n]``: 1-D weights are shared by the whole batch, and
@@ -172,19 +162,19 @@ def mixed_means(f: Generator, g: Generator, wx, wy, values):
     """
     wx, wy = np.asarray(wx, dtype=float), np.asarray(wy, dtype=float)
     values = np.ascontiguousarray(values, dtype=float)
-    return (*_nested_mean(f, g, wx, wy, values),
-            *_nested_mean(g, f, wy, wx, _transposed(values)))
+    return _nested_mean(f, g, wx, wy, values), _nested_mean(g, f, wy, wx, _transposed(values))
 
 
-def _checked(mean, stage, outer: Generator, inner: Generator, w_inner, values, stages) -> float:
-    """One case's side as a float, or the RangeError of its failed stage."""
-    if stage == STAGE_OK:
+def _checked(mean, outer: Generator, inner: Generator, w_inner, values, stages) -> float:
+    """One case's side as a float; if it is NaN, the RangeError of its failed stage."""
+    if not np.isnan(mean):
         return float(mean)
     (inner_tag, inner_text), (outer_tag, outer_text) = stages
     with np.errstate(all="ignore"):
         mid = _masked_mean(inner, w_inner, values)
-    if stage == STAGE_INNER:
-        atom = int(np.flatnonzero(np.isnan(mid))[0])
+    failed = np.flatnonzero(np.isnan(mid))
+    if failed.size:
+        atom = int(failed[0])
         gen, args, tag, text = inner, values[atom], inner_tag, inner_text.format(atom)
     else:
         gen, args, tag, text = outer, mid, outer_tag, outer_text
@@ -204,7 +194,7 @@ def lhs_mixed_mean(
 ) -> float:
     """Inner g-mean over Y per X atom, then outer f-mean over X."""
     wx, wy, values = _case(grid, h)
-    return _checked(*_nested_mean(f, g, wx, wy, values), f, g, wy, values, _LHS_STAGES)
+    return _checked(_nested_mean(f, g, wx, wy, values), f, g, wy, values, _LHS_STAGES)
 
 
 def rhs_mixed_mean(
@@ -213,7 +203,7 @@ def rhs_mixed_mean(
     """Inner f-mean over X per Y atom, then outer g-mean over Y."""
     wx, wy, values = _case(grid, h)
     values = _transposed(values)
-    return _checked(*_nested_mean(g, f, wy, wx, values), g, f, wx, values, _RHS_STAGES)
+    return _checked(_nested_mean(g, f, wy, wx, values), g, f, wx, values, _RHS_STAGES)
 
 
 def commutation_residual(

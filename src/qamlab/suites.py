@@ -34,7 +34,7 @@ from .generators import (
     affine,
     scale,
 )
-from .means import STAGE_OK, SimpleFunctionMatrix, commutation_residual, mixed_means
+from .means import SimpleFunctionMatrix, commutation_residual, mixed_means
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .residuals import DEFAULT_ZERO_TOL, _relative_residuals
 
@@ -109,15 +109,14 @@ def _run_cases(
       sign of the real term whose value it repeats, so it changes no sum
       (it could only turn a sum of real -0.0 terms into +0.0, and then
       the pad would be -0.0 too);
-    - pad values repeat valid ones, so the range masks and stage codes
-      are unchanged;
+    - pad values repeat valid ones, so the range masks, and with them
+      the NaN sides, are unchanged;
     - where a real term is +-inf, every range mask already rejects the
       sum, and the pad's ``0 * inf = NaN`` is rejected the same way.
 
     The zero masses live only in these batch arrays, never in a
-    ``DiscreteMeasureSpace``, which rejects them.  Run order is not case
-    order, so every failing case is collected and the first in case
-    order raises.
+    ``DiscreteMeasureSpace``, which rejects them.  A case with a NaN side
+    failed; the first in case order raises its stage-tagged RangeError.
     """
     cases = list(cases)
     groups: dict[tuple, dict[tuple, list[int]]] = {}
@@ -125,7 +124,6 @@ def _run_cases(
         groups.setdefault((f, g), {}).setdefault(values.shape, []).append(k)
 
     lhs, rhs = np.empty(len(cases)), np.empty(len(cases))
-    failed = []
     for (f, g), runs in groups.items():
         order = np.array([k for idx in runs.values() for k in idx])
         m, n = (max(dims) for dims in zip(*runs))
@@ -140,11 +138,11 @@ def _run_cases(
             values[run, :mk, :nk] = [cases[k][4] for k in idx]
             values[run, :mk, nk:] = values[run, :mk, :1]
             values[run, mk:] = values[run, :1]
-        lhs[order], lhs_stage, rhs[order], rhs_stage = mixed_means(f, g, wx, wy, values)
-        failed += order[(lhs_stage != STAGE_OK) | (rhs_stage != STAGE_OK)].tolist()
-    if failed:
+        lhs[order], rhs[order] = mixed_means(f, g, wx, wy, values)
+    failed = np.flatnonzero(np.isnan(lhs) | np.isnan(rhs))
+    if failed.size:
         # the scalar path raises the stage-tagged error of the first failing case
-        f, g, wx, wy, values = cases[min(failed)]
+        f, g, wx, wy, values = cases[failed[0]]
         grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
         commutation_residual(f, g, grid, SimpleFunctionMatrix(values))
 

@@ -202,10 +202,9 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
     """Both means of every value matrix of shape (wx.size, wy.size) on the grid.
 
     Candidate k holds the grid points of the base-``pts.size`` digits of k,
-    row by row.  Returns ``(sides, total, batch)``: ``sides(start)`` gives
-    the lhs and rhs of the ``batch`` candidates from ``start`` as two flat
-    arrays, and ``sides(start, (lhs, rhs))`` writes them into the given
-    ones.
+    row by row.  Returns ``(sides, total, batch)``: ``sides(start, lhs,
+    rhs)`` writes the lhs and rhs of the ``batch`` candidates from
+    ``start`` into the two given flat arrays and returns them.
     """
     m, n, npts = wx.size, wy.size, pts.size
     # at least one leading digit, so that workers can share the batches,
@@ -245,8 +244,7 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
     row_sum = summed(f, g, wx, wy, [range(i * n, (i + 1) * n) for i in range(m)])
     col_sum = summed(g, f, wy, wx, [range(j, digits, n) for j in range(n)])
 
-    def sides(start: int, out=None):
-        lhs, rhs = (np.empty(batch), np.empty(batch)) if out is None else out
+    def sides(start: int, lhs: np.ndarray, rhs: np.ndarray):
         with np.errstate(all="ignore"):
             row_sum(start, lhs)
             col_sum(start, rhs)
@@ -273,7 +271,7 @@ def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness 
         skipped = np.empty(batch, dtype=bool)
         results = []
         for start in starts.tolist():
-            _relative_residuals(*sides(start, (lhs, rhs)), rel)
+            _relative_residuals(*sides(start, lhs, rhs), rel)
             # a skipped candidate gets -1, below every residual
             np.isnan(rel, out=skipped)
             np.copyto(rel, -1.0, where=skipped)
@@ -429,7 +427,7 @@ def refine_witness(
             for _ in range(_SCANS):
                 ts = np.linspace(lo, hi, _SCAN_POINTS)
                 batch[:, idx] = ts
-                lhs, _, rhs, _ = mixed_means(f, g, wx, wy, batch.reshape(-1, *shape))
+                lhs, rhs = mixed_means(f, g, wx, wy, batch.reshape(-1, *shape))
                 rel = _relative_residuals(lhs, rhs)
                 # a side left a generator's domain or range
                 rel[np.isnan(rel)] = -math.inf

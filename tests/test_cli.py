@@ -121,6 +121,13 @@ class TestCheck:
         assert code == 0
         assert json.loads(out.read_text())["pass"] is True
 
+    def test_unwritable_output_is_malformed_input(self, docs, capsys):
+        # a directory cannot be written as a file
+        code = run_check(docs, "double_exp1", "exp1", "h", "--out", str(docs["tmp"]))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
 
 class TestWitness:
     def test_non_proportional_pair_found(self, docs, capsys):
@@ -203,6 +210,14 @@ class TestSuiteAndPhi:
             "finite-measure-proportional", "probability-affine",
         }
         assert len(doc["rows"]) == sum(s["cases"] for s in doc["summaries"])
+
+    def test_suite_output_in_a_missing_directory_is_malformed_input(self, docs, capsys):
+        out = docs["tmp"] / "absent" / "suite.json"
+        code = main(["suite", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert str(out) in err and not out.exists()
 
     def test_phi_report(self, docs, capsys):
         code = main(["phi", "--f", docs["exp1"], "--g", docs["exp2"]])

@@ -22,7 +22,6 @@ from qamlab import (
     scale,
     scale_invariance_residual,
 )
-from qamlab.means import STAGE_INNER, STAGE_OK, STAGE_OUTER
 from conftest import random_in_domain
 
 LN2, LN3, LN4 = math.log(2.0), math.log(3.0), math.log(4.0)
@@ -228,7 +227,7 @@ class TestMixedMeans:
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_batch_with_weights_per_case_equals_single_cases(self, shape, shifted):
         # with shifted generators (range (1, inf)) and masses below 1 some
-        # cases fail, at every stage, inside a batch of valid ones
+        # cases fail inside a batch of valid ones, at every stage in 2x2
         f, g = ExpGenerator(1.0), ExpGenerator(2.0)
         if shifted:
             f, g = affine(f, 1.0, 1.0), affine(g, 1.0, 1.0)
@@ -237,26 +236,33 @@ class TestMixedMeans:
         wx = rng.uniform(0.05, 1.0, (batch, shape[0]))
         wy = rng.uniform(0.05, 1.0, (batch, shape[1]))
         values = rng.uniform(-2.0, 2.0, (batch, *shape))
-        lhs, lhs_stage, rhs, rhs_stage = mixed_means(f, g, wx, wy, values)
-        tags = {(0, 1): "inner-Y", (0, 2): "outer-X", (1, 1): "inner-X", (1, 2): "outer-Y"}
+        lhs, rhs = mixed_means(f, g, wx, wy, values)
+        seen = set()
         for k in range(batch):
             grid = ProductGrid(DiscreteMeasureSpace(wx[k]), DiscreteMeasureSpace(wy[k]))
             h = SimpleFunctionMatrix(values[k])
-            stages = (int(lhs_stage[k]), int(rhs_stage[k]))
-            if stages == (0, 0):
+            if not (math.isnan(lhs[k]) or math.isnan(rhs[k])):
                 report = commutation_residual(f, g, grid, h)
                 assert (report.lhs, report.rhs) == (lhs[k], rhs[k])
                 continue
-            side = 0 if stages[0] else 1
-            with pytest.raises(RangeError) as err:
-                commutation_residual(f, g, grid, h)
-            assert err.value.stage == tags[side, stages[side]]
-            for mean, one_sided, stage in ((lhs[k], lhs_mixed_mean, stages[0]),
-                                           (rhs[k], rhs_mixed_mean, stages[1])):
-                if stage:
-                    assert math.isnan(mean)
+            # a NaN side, and only a NaN side, raises; the lhs before the rhs
+            tags = []
+            for mean, one_sided, stages in ((lhs[k], lhs_mixed_mean, ("inner-Y", "outer-X")),
+                                            (rhs[k], rhs_mixed_mean, ("inner-X", "outer-Y"))):
+                if math.isnan(mean):
+                    with pytest.raises(RangeError) as err:
+                        one_sided(f, g, grid, h)
+                    assert err.value.stage in stages
+                    tags.append(err.value.stage)
                 else:
                     assert one_sided(f, g, grid, h) == mean
+            with pytest.raises(RangeError) as err:
+                commutation_residual(f, g, grid, h)
+            assert err.value.stage == tags[0]
+            seen.update(tags)
+        assert bool(seen) == shifted
+        if shifted and shape == (2, 2):
+            assert seen == {"inner-Y", "outer-X", "inner-X", "outer-Y"}
 
     def test_shape_mismatch(self):
         h = SimpleFunctionMatrix([[0.0, 0.0, 0.0]])
@@ -267,28 +273,27 @@ class TestMixedMeans:
 class TestKernelErrorState:
     """The kernel ignores floating-point errors itself, under one ``np.errstate``.
 
-    Called outside any ``np.errstate``, no RuntimeWarning escapes; a failing
-    side is NaN with its stage code, the scalar entry points raise its
-    stage-tagged RangeError, and a clean batch's stage codes are zeros of
-    the batch shape in the dtype of a failing batch's.
+    Called outside any ``np.errstate``, no RuntimeWarning escapes; the
+    kernel returns the two sides alone, a failing side NaN, and the scalar
+    entry points raise the failing side's stage-tagged RangeError.
     """
 
     SHIFTED = affine(ExpGenerator(1.0), 1.0, 1.0)  # range (1, inf)
-    # name -> (f, g, wx, wy, h, (lhs, rhs) stage codes, (lhs, rhs) RangeError tags)
+    # name -> (f, g, wx, wy, h, (lhs, rhs) RangeError tags); a side with a tag is NaN
     CASES = {
         # exp(2 * 400) overflows: in the lhs's outer mean, the rhs's inner ones
         "overflow": (ExpGenerator(2.0), ExpGenerator(1.0), [0.5, 0.5], [0.5, 0.5],
-                     np.full((2, 2), 400.0), (STAGE_OUTER, STAGE_INNER), ("outer-X", "inner-X")),
+                     np.full((2, 2), 400.0), ("outer-X", "inner-X")),
         # masses 0.1 pull the shifted generator's integrals below 1
         "range-escape": (ExpGenerator(1.0), SHIFTED, [1.0, 1.0], [0.1, 0.1],
-                         np.zeros((2, 2)), (STAGE_INNER, STAGE_OUTER), ("inner-Y", "outer-Y")),
+                         np.zeros((2, 2)), ("inner-Y", "outer-Y")),
         "clean": (ExpGenerator(1.0), ExpGenerator(2.0), [0.5, 0.5], [0.2, 0.3, 0.5],
-                  np.zeros((2, 3)), (STAGE_OK, STAGE_OK), (None, None)),
+                  np.zeros((2, 3)), (None, None)),
     }
     BATCH = 4
 
     def run(self, name):
-        f, g, wx, wy, h, _, _ = self.CASES[name]
+        f, g, wx, wy, h, _ = self.CASES[name]
         assert np.geterr()["over"] == "warn"  # outside any np.errstate
         grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
         results = {}
@@ -304,29 +309,23 @@ class TestKernelErrorState:
         return results
 
     @pytest.mark.parametrize("name", CASES)
-    def test_stage_codes_and_tags(self, name):
-        stages, tags = self.CASES[name][5:]
+    def test_nan_sides_and_tags(self, name):
+        tags = self.CASES[name][5]
         results = self.run(name)
         for key, shape in (("batch", (self.BATCH,)), ("one", ())):
-            lhs, lhs_stage, rhs, rhs_stage = results[key]
-            for mean, stage, want in ((lhs, lhs_stage, stages[0]), (rhs, rhs_stage, stages[1])):
-                assert isinstance(stage, np.ndarray) and stage.shape == shape
-                assert np.array_equal(stage, np.full(shape, want))
-                assert np.array_equal(np.isnan(mean), np.full(shape, want != STAGE_OK))
+            sides = results[key]
+            assert len(sides) == 2
+            for mean, tag in zip(sides, tags):
+                assert mean.shape == shape and mean.dtype == np.float64
+                assert np.array_equal(np.isnan(mean), np.full(shape, tag is not None))
         for entry, tag in (("lhs_mixed_mean", tags[0]), ("rhs_mixed_mean", tags[1]),
                            ("commutation_residual", tags[0] or tags[1])):
             got = results[entry]
             assert (got.stage if isinstance(got, RangeError) else None) == tag
         if name == "clean":
-            lhs, _, rhs, _ = results["batch"]
+            lhs, rhs = results["batch"]
             report = results["commutation_residual"]
             assert (report.lhs, report.rhs) == (lhs[0], rhs[0])
-
-    def test_clean_stage_codes_have_the_failure_dtype(self):
-        clean, failed = self.run("clean")["batch"], self.run("overflow")["batch"]
-        for k in (1, 3):
-            assert clean[k].dtype == failed[k].dtype
-            assert np.array_equal(clean[k], np.zeros(self.BATCH, dtype=failed[k].dtype))
 
 
 class TestScaleInvariance:

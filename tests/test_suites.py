@@ -19,7 +19,7 @@ from qamlab import (
     run_probability_suite,
     scale,
 )
-from qamlab.means import STAGE_OK, mixed_means
+from qamlab.means import mixed_means
 from qamlab.suites import _random_values, _run_cases
 from conftest import random_in_domain
 
@@ -172,11 +172,10 @@ class TestSuites:
                 values[b, m:] = values[b, :1]          # pad X atoms repeat the first row
             padded = mixed_means(f, g, wx, wy, values)
             alone = [np.array(side) for side in zip(*(mixed_means(f, g, *case) for case in cases))]
-            for side in (0, 2):
+            # bit for bit, so the NaN sides of the failing cases too
+            for side in (0, 1):
                 assert np.array_equal(padded[side].view(np.int64), alone[side].view(np.int64))
-            for side in (1, 3):
-                assert np.array_equal(padded[side], alone[side])
-            failed += int(np.count_nonzero((alone[1] != STAGE_OK) | (alone[3] != STAGE_OK)))
+            failed += int(np.count_nonzero(np.isnan(alone[0]) | np.isnan(alone[1])))
         assert failed > 0
 
     def test_first_failing_case_in_case_order_across_shape_runs(self):

@@ -14,6 +14,7 @@ from qamlab import (
     GridSpec,
     PowerGenerator,
     ProductGrid,
+    RangeError,
     ResidualReport,
     SimpleFunctionMatrix,
     Spacing,
@@ -333,12 +334,12 @@ class TestBatchedRefinement:
     @pytest.mark.parametrize("kind", ["block", "full"])
     def test_range_escapes_inside_the_bracket(self, monkeypatch, kind):
         # the shifted f leaves exp's range on part of each bracket
-        stages = []
+        escapes = []
 
-        def recording(*args):
-            lhs, lhs_stage, rhs, rhs_stage = mixed_means(*args)
-            stages.append(np.any(lhs_stage) or np.any(rhs_stage))
-            return lhs, lhs_stage, rhs, rhs_stage
+        def recording(f, g, wx, wy, values):
+            lhs, rhs = mixed_means(f, g, wx, wy, values)
+            escapes.extend((wx, wy, h) for h in values[np.isnan(lhs) | np.isnan(rhs)])
+            return lhs, rhs
 
         monkeypatch.setattr(witness_search, "mixed_means", recording)
         f, g, start = pinned_witness("shifted-exp", kind)
@@ -349,7 +350,12 @@ class TestBatchedRefinement:
             # the scans step past the points that escape, so the climb goes on
             assert refined.report.rel_residual > start.report.rel_residual
             assert refined.report == witness_residual(f, g, refined)
-        assert any(stages)
+        assert escapes
+        wx, wy, h = escapes[0]
+        grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
+        with pytest.raises(RangeError) as err:
+            commutation_residual(f, g, grid, SimpleFunctionMatrix(h))
+        assert err.value.stage in ("inner-Y", "outer-X", "inner-X", "outer-Y")
 
     def test_bracket_clipped_at_the_domain_end(self):
         # power's domain ends at 0, and the witness sits at the grid's lower
@@ -427,12 +433,23 @@ class TestTableEvaluator:
         sides = [mixed_means(f, g, wx, wy, _decode(np.arange(s, min(s + 4096, total)), pts, shape))
                  for s in range(0, total, 4096)]
         lhs = np.concatenate([s[0] for s in sides])
-        rhs = np.concatenate([s[2] for s in sides])
+        rhs = np.concatenate([s[1] for s in sides])
         valid = np.isfinite(lhs) & np.isfinite(rhs)
         rel = np.full(total, -1.0)
         rel[valid] = np.abs(lhs - rhs)[valid] / np.maximum(
             1.0, np.maximum(np.abs(lhs), np.abs(rhs)))[valid]
         return lhs, rhs, int(np.argmax(rel)), int(total - valid.sum())
+
+    @staticmethod
+    def table_sides(f, g, wx, wy, pts):
+        """Both sides of every candidate from the evaluator, each batch in its own buffers."""
+        sides, total, batch = _table_sides(f, g, wx, wy, pts)
+        got = []
+        for start in range(0, total, batch):
+            out = (np.empty(batch), np.empty(batch))
+            got.append(sides(start, *out))
+            assert got[-1][0] is out[0] and got[-1][1] is out[1]
+        return np.concatenate([s[0] for s in got]), np.concatenate([s[1] for s in got]), batch
 
     @staticmethod
     def assert_bitwise_equal(got, want):
@@ -447,24 +464,28 @@ class TestTableEvaluator:
         wx, wy = np.asarray(wx), np.asarray(wy)
         lhs, rhs, _, _ = self.brute_force(f, g, wx, wy, pts)
 
-        sides, total, batch = _table_sides(f, g, wx, wy, pts)
-        assert total == lhs.size and total % batch == 0
-        got = [sides(start) for start in range(0, total, batch)]
-        self.assert_bitwise_equal(np.concatenate([np.ravel(s[0]) for s in got]), lhs)
-        self.assert_bitwise_equal(np.concatenate([np.ravel(s[1]) for s in got]), rhs)
+        got_lhs, got_rhs, batch = self.table_sides(f, g, wx, wy, pts)
+        assert got_lhs.size == lhs.size and lhs.size % batch == 0
+        self.assert_bitwise_equal(got_lhs, lhs)
+        self.assert_bitwise_equal(got_rhs, rhs)
 
     @pytest.mark.parametrize("case", CASES)
     def test_sides_write_into_given_buffers(self, case):
+        # one pair of buffers for every batch, as the searches keep them;
+        # a finite sentinel no mean takes shows any entry left unwritten
         (f, g), wx, wy, grid = self.CASES[case]
-        sides, total, batch = _table_sides(f, g, np.asarray(wx), np.asarray(wy), grid.points())
+        pts = grid.points()
+        wx, wy = np.asarray(wx), np.asarray(wy)
+        want_lhs, want_rhs, _, _ = self.brute_force(f, g, wx, wy, pts)
+        sides, total, batch = _table_sides(f, g, wx, wy, pts)
         lhs, rhs = np.empty(batch), np.empty(batch)
         for start in range(0, total, batch):
-            want = sides(start)
-            assert not (np.shares_memory(want[0], lhs) or np.shares_memory(want[1], rhs))
-            got = sides(start, (lhs, rhs))
+            lhs.fill(-1.5e308)
+            rhs.fill(-1.5e308)
+            got = sides(start, lhs, rhs)
             assert got[0] is lhs and got[1] is rhs
-            self.assert_bitwise_equal(lhs, np.ravel(want[0]))
-            self.assert_bitwise_equal(rhs, np.ravel(want[1]))
+            self.assert_bitwise_equal(lhs, want_lhs[start:start + batch])
+            self.assert_bitwise_equal(rhs, want_rhs[start:start + batch])
 
     @pytest.mark.parametrize("case", CASES)
     def test_searches_report_the_brute_force_argmax(self, case):
@@ -502,11 +523,10 @@ class TestOneAtomTables:
         pts = GridSpec(4, (0.1, 10.0)).points()
         lhs, rhs, best, _ = TestTableEvaluator.brute_force(f, g, wx, wy, pts)
 
-        sides, total, batch = _table_sides(f, g, wx, wy, pts)
-        assert total // batch == 4
-        got = [sides(start) for start in range(0, total, batch)]
-        TestTableEvaluator.assert_bitwise_equal(np.concatenate([np.ravel(s[0]) for s in got]), lhs)
-        TestTableEvaluator.assert_bitwise_equal(np.concatenate([np.ravel(s[1]) for s in got]), rhs)
+        got_lhs, got_rhs, batch = TestTableEvaluator.table_sides(f, g, wx, wy, pts)
+        assert lhs.size // batch == 4
+        TestTableEvaluator.assert_bitwise_equal(got_lhs, lhs)
+        TestTableEvaluator.assert_bitwise_equal(got_rhs, rhs)
         spaces = (DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
         found = full_witness_search(f, g, (wx.size, wy.size), spaces, pts, 1e-300, workers=3)
         assert [list(row) for row in found.values] == _decode(best, pts, (wx.size, wy.size)).tolist()
