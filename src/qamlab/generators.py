@@ -17,15 +17,17 @@ Families: ``ExpGenerator(k)`` (x -> exp(k x) on R), ``PowerGenerator(p)``
 Exponents/powers of either sign give both monotone directions.
 
 Evaluation and inversion accept scalars or numpy arrays.  Families with a
-closed-form inverse use it; anything else falls back to bracketed
-bisection (geometric bracket expansion from an interior seed, 200
-iteration cap, 1e-12 relative tolerance), which converges unconditionally
-for strictly monotone functions.  The bracket sequence does not depend on
-the target, so an array is bisected in one masked loop in which every
-element takes the per-element routine's midpoints: the results are the
-same bit for bit.  The loop's fixed cost per call is about twelve
-elements' worth of the per-element routine, so arrays below
-``_BISECT_ARRAY_MIN`` elements stay per element.
+closed-form inverse use it; anything else falls back to a bracketed
+search (geometric bracket expansion from an interior seed, then a
+safeguarded regula falsi on log f or f; 200 iteration cap, 1e-12 relative
+tolerance), which converges unconditionally for strictly monotone
+functions in at most one step more than bisection of the same bracket,
+and lands exp(kx) in one or two.  The bracket sequence does not depend on
+the target, so an array is inverted in one masked loop in which every
+element takes the per-element routine's steps: the results are the same
+bit for bit.  The loop's fixed cost per call is about thirty elements'
+worth of the per-element routine, so arrays below ``_BISECT_ARRAY_MIN``
+elements stay per element.
 """
 
 from __future__ import annotations
@@ -61,10 +63,14 @@ __all__ = [
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL_TOL = 1e-12
-# arrays of at least this many elements bisect in one masked loop; below
-# it the loop's fixed cost per call (about 0.8 ms for exp(kx) on a 2-vCPU
-# x86 host) exceeds the per-element routine's (about 65 us an element)
-_BISECT_ARRAY_MIN = 12
+# how far inside the bracket a regula falsi step is moved, relative to max(1, |t|)
+_NUDGE = 0.4 * _BISECT_REL_TOL
+# arrays of at least this many elements are inverted in one masked loop;
+# below it the loop's fixed cost per call (about 0.1 ms for exp(kx) targets
+# on a 2-vCPU x86 host) exceeds the per-element routine's (about 5 us an
+# element): the two cross at 28-32 elements for exp(kx), above 40 for
+# logit and x + e^x
+_BISECT_ARRAY_MIN = 32
 # points of the sample grid on which the admissibility and equivalence checks run
 _SAMPLE_COUNT = 17
 
@@ -174,11 +180,17 @@ class Generator(ABC):
 
     Subclasses set ``domain``, ``codomain`` (the exact range interval),
     and ``increasing``, and implement ``_eval_raw``.  ``_inverse_raw``
-    defaults to bracketed bisection against ``_eval_raw``, across the
-    whole array from ``_BISECT_ARRAY_MIN`` elements and per element below
-    that, where the array loop's fixed cost would dominate; subclasses
-    override it when a closed form exists.  The default needs
-    ``_eval_raw`` to act elementwise.
+    defaults to a bracketed regula falsi against ``_eval_raw`` (see
+    ``_bisect_inverse``), returning the midpoint of a bracket at most
+    1e-12 * max(1, |x|) wide, across the whole array from
+    ``_BISECT_ARRAY_MIN`` elements and per element below that, where the
+    array loop's fixed cost would dominate; subclasses override it when a
+    closed form exists.  The default needs ``_eval_raw`` to act
+    elementwise and to give a 0-d input the same bits as the same element
+    of an array, so that both paths agree bit for bit: numpy ufunc calls
+    such as ``np.exp(k * x)`` or ``np.power(x, 3.0)`` do, the ``**``
+    operator does not (``x**3`` differs between 0-d and array input in the
+    last bit on a few percent of values).
 
     ``_inverse_raw(y, out)`` writes its result into the float array
     ``out`` when one is given, and returns it; ``out`` may be ``y``
@@ -283,17 +295,21 @@ def masked_inverse(gen: Generator, y: np.ndarray, out: np.ndarray | None = None)
 
 
 def _bisect_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
-    """Invert a strictly monotone generator elementwise by bracketing + bisection.
+    """Invert a strictly monotone generator elementwise: bracket, then regula falsi.
 
-    Arrays of ``_BISECT_ARRAY_MIN`` elements or more run ``_bisect_array``,
-    smaller ones ``_bisect_scalar`` per element; the results are the same
-    bit for bit.  Both evaluate the generator with overflow ignored: an
-    end or midpoint value that overflows to an infinity still compares
-    correctly with the target.
+    Each target is placed in the first piece of ``_pieces`` that straddles
+    it and refined by the safeguarded regula falsi of ``_falsi_scalar``
+    until the bracket is at most 1e-12 * max(1, |midpoint|) wide, and the
+    midpoint is returned.  Arrays of ``_BISECT_ARRAY_MIN`` elements or more
+    run ``_bisect_array``, smaller ones ``_bisect_elements``; the results
+    are the same bit for bit.  Both evaluate with overflow, division by
+    zero and invalid operations ignored: an end value that overflows to an
+    infinity or underflows to 0 still compares correctly with the target,
+    and its residual (log 0, inf - inf) sends the step to the midpoint.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if y.size < _BISECT_ARRAY_MIN:
-            flat = np.array([_bisect_scalar(gen, float(t)) for t in y.ravel()])
+            flat = np.array(_bisect_elements(gen, y.ravel().tolist()))
         else:
             flat = _bisect_array(gen, y.ravel())
     return flat.reshape(y.shape) if y.ndim else flat[0]
@@ -310,66 +326,168 @@ def _brackets(gen: Generator):
     lo = hi = _interior_seed(dom)
     step = 1.0
     for _ in range(_BISECT_MAX_ITER):
-        yield lo, hi, float(gen._eval_raw(np.float64(lo))), float(gen._eval_raw(np.float64(hi)))
+        flo = float(gen._eval_raw(np.float64(lo)))
+        yield lo, hi, flo, flo if hi == lo else float(gen._eval_raw(np.float64(hi)))
         lo = 0.5 * (lo + dom.lower) if math.isfinite(dom.lower) else lo - step
         hi = 0.5 * (hi + dom.upper) if math.isfinite(dom.upper) else hi + step
         step *= 2.0
 
 
+def _pieces(gen: Generator):
+    """The pieces ``(lo, hi, f(lo), f(hi), width)`` of the brackets, in turn.
+
+    The seed alone, then for each further bracket the piece from its lower
+    end to the previous lower end and the piece from the previous upper end
+    to its upper end; ``width`` is that bracket's.  The first piece that
+    straddles a target lies in the first bracket that does, and both its
+    ends are evaluated already.
+    """
+    walk = _brackets(gen)
+    prev = next(walk)
+    yield *prev, 0.0
+    for lo, hi, flo, fhi in walk:
+        yield lo, prev[0], flo, prev[2], hi - lo
+        yield prev[1], hi, prev[3], fhi, hi - lo
+        prev = lo, hi, flo, fhi
+
+
 def _bisect_scalar(gen: Generator, y: float) -> float:
-    """The inverse of one value: the first bracket that straddles it, then bisection."""
-    for lo, hi, flo, fhi in _brackets(gen):
-        if min(flo, fhi) <= y <= max(flo, fhi):
+    """The inverse of one value: ``_bisect_elements`` of a one-element list."""
+    return _bisect_elements(gen, [y])[0]
+
+
+def _bisect_elements(gen: Generator, ys: list[float]) -> list[float]:
+    """The inverse of each value, over one walk of the pieces, then per element."""
+    start = [None] * len(ys)
+    pending = list(range(len(ys)))
+    for piece in _pieces(gen):
+        low, high = min(piece[2], piece[3]), max(piece[2], piece[3])
+        for i in pending:
+            if low <= ys[i] <= high:
+                start[i] = piece
+        pending = [i for i in pending if start[i] is None]
+        if not pending:
             break
     else:
-        raise RangeError(f"could not bracket {y} in the range of {gen.describe()}")
-    increasing = fhi >= flo
+        raise RangeError(f"could not bracket {ys[pending[0]]} in the range of {gen.describe()}")
+    return [_falsi_scalar(gen, y, *piece) for y, piece in zip(ys, start)]
+
+
+def _falsi_scalar(gen: Generator, y: float, lo: float, hi: float, flo: float, fhi: float,
+                  bound: float) -> float:
+    """The root of the residual of ``y`` in the piece ``[lo, hi]`` that straddles it.
+
+    The residual is s * (log f(x) - log y) for a positive codomain (affine
+    in x for exp(kx), so one step lands on the root), else s * (f(x) - y),
+    with s = +-1 making it increasing.  A target at an end of the piece, or
+    a step with residual exactly 0, collapses the bracket onto that point.
+    Each step is a regula falsi point, with the Illinois halving of the
+    residual at an end kept twice in a row, moved at least ``_NUDGE`` *
+    max(1, |t|) inside the bracket, so that a step within the tolerance of
+    the root closes the bracket on the next one.  A non-finite or outside
+    point, or an infinite end residual, gives the midpoint instead.  The
+    point is then projected so that the next bracket is at most ``bound``
+    wide, which starts at the width of the bracket the piece came from and
+    halves every step (the projection of the ITP method, Oliveira and
+    Takahashi, ACM TOMS 2020): the loop takes at most one step more than
+    bisection of that bracket, even where a flat root (x**3 near 0) makes
+    regula falsi creep from one side.
+    """
     raw, f64, tol = gen._eval_raw, np.float64, _BISECT_REL_TOL
+    lift = np.log if gen.codomain_kind is CodomainKind.POSITIVE_REALS else float
+    if flo == y:
+        hi = lo
+    if fhi == y:
+        lo = hi
+    s = 1.0 if fhi >= flo else -1.0
+    ty = float(lift(f64(y)))
+    rlo, rhi = s * (float(lift(f64(flo))) - ty), s * (float(lift(f64(fhi))) - ty)
+    side = 0.0
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         # max(1, |mid|) inline: 1.0 for +-0.0 and NaN too
         if hi - lo <= tol * (mid if mid > 1.0 else -mid if mid < -1.0 else 1.0):
             return mid
-        if (float(raw(f64(mid))) < y) == increasing:
-            lo = mid
+        den = rlo - rhi
+        t = lo + (hi - lo) * (rlo / den) if den else mid
+        if not (den > -math.inf and lo <= t <= hi):
+            t = mid
+        d = _NUDGE * (t if t > 1.0 else -t if t < -1.0 else 1.0)
+        if t < lo + d:
+            t = lo + d
+        if t > hi - d:
+            t = hi - d
+        if t < hi - bound:
+            t = hi - bound
+        if t > lo + bound:
+            t = lo + bound
+        bound *= 0.5
+        r = s * (float(lift(raw(f64(t)))) - ty)
+        if r < 0:
+            lo, rlo, rhi = t, r, (0.5 if side < 0 else 1.0) * rhi
+            side = -1.0
         else:
-            hi = mid
+            hi, rhi, rlo = t, r, (0.5 if side > 0 else 1.0) * rlo
+            side = 1.0
+            if r == 0:
+                lo = t
     return 0.5 * (lo + hi)
 
 
 def _bisect_array(gen: Generator, y: np.ndarray) -> np.ndarray:
     """``_bisect_scalar`` of every element of a flat array, as one masked loop.
 
-    Each element gets the first bracket that straddles it and then takes
-    the midpoints the scalar routine would; an element leaves the loop at
-    the midpoint where the scalar routine returns, so the results are the
-    same bit for bit.
+    Each element gets the first piece that straddles it and then takes the
+    steps ``_falsi_scalar`` would, in the same operations on float64, and
+    leaves the loop at the midpoint where it returns, so the results are
+    the same bit for bit.
     """
-    lo, hi, increasing = np.empty_like(y), np.empty_like(y), np.empty(y.size, dtype=bool)
+    lo, hi, flo, fhi, bound = (np.empty_like(y) for _ in range(5))
     pending = np.arange(y.size)
-    for blo, bhi, flo, fhi in _brackets(gen):
-        inside = (min(flo, fhi) <= y[pending]) & (y[pending] <= max(flo, fhi))
+    for piece in _pieces(gen):
+        inside = (min(piece[2], piece[3]) <= y[pending]) & (y[pending] <= max(piece[2], piece[3]))
         placed = pending[inside]
-        lo[placed], hi[placed], increasing[placed] = blo, bhi, fhi >= flo
+        lo[placed], hi[placed], flo[placed], fhi[placed], bound[placed] = piece
         pending = pending[~inside]
         if not pending.size:
             break
     else:
         raise RangeError(f"could not bracket {float(y[pending[0]])} in the range of {gen.describe()}")
+    raw, tol = gen._eval_raw, _BISECT_REL_TOL
+    lift = np.log if gen.codomain_kind is CodomainKind.POSITIVE_REALS else np.asarray
+    hi = np.where(flo == y, lo, hi)
+    lo = np.where(fhi == y, hi, lo)
+    s = np.where(fhi >= flo, 1.0, -1.0)
+    ty = lift(y)
+    rlo, rhi = s * (lift(flo) - ty), s * (lift(fhi) - ty)
+    side = np.zeros_like(y)
     out = np.empty_like(y)
     active = np.arange(y.size)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        done = hi - lo <= _BISECT_REL_TOL * np.maximum(1.0, np.abs(mid))
+        done = hi - lo <= tol * np.maximum(1.0, np.abs(mid))
         if done.any():
             out[active[done]] = mid[done]
             keep = ~done
-            active, lo, hi, mid, y, increasing = (
-                a[keep] for a in (active, lo, hi, mid, y, increasing))
+            active, lo, hi, mid, rlo, rhi, s, ty, side, bound = (
+                a[keep] for a in (active, lo, hi, mid, rlo, rhi, s, ty, side, bound))
             if not active.size:
                 return out
-        below = (gen._eval_raw(mid) < y) == increasing
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        den = rlo - rhi
+        t = lo + (hi - lo) * (rlo / den)
+        t = np.where((den > -np.inf) & (lo <= t) & (t <= hi), t, mid)
+        d = _NUDGE * np.maximum(1.0, np.abs(t))
+        t = np.where(t < lo + d, lo + d, t)
+        t = np.where(t > hi - d, hi - d, t)
+        t = np.where(t < hi - bound, hi - bound, t)
+        t = np.where(t > lo + bound, lo + bound, t)
+        bound = 0.5 * bound
+        r = s * (lift(raw(t)) - ty)
+        below = r < 0
+        moved = np.where(below, -1.0, 1.0)
+        halve = np.where(side == moved, 0.5, 1.0)
+        rlo, rhi = np.where(below, r, halve * rlo), np.where(below, halve * rhi, r)
+        lo, hi, side = np.where(r <= 0, t, lo), np.where(below, hi, t), moved
     out[active] = 0.5 * (lo + hi)
     return out
 

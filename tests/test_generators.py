@@ -30,7 +30,13 @@ from qamlab import (
     scale,
     validate_for_setting,
 )
-from qamlab.generators import _BISECT_ARRAY_MIN, _bisect_array, _bisect_scalar
+from qamlab.generators import (
+    _BISECT_ARRAY_MIN,
+    _BISECT_MAX_ITER,
+    _bisect_array,
+    _bisect_scalar,
+    _interior_seed,
+)
 
 
 class TestEval:
@@ -143,16 +149,18 @@ def _bisect_exp(k):
 _LOGIT = _Bisecting("logit", lambda x: np.log(x) - np.log1p(-x), Interval(0.0, 1.0), _REALS)
 # declared onto the reals, although its image is (-pi/2, pi/2)
 _ARCTAN = _Bisecting("arctan", np.arctan, _REALS, _REALS)
+# np.power gives a 0-d input the bits of the same array element; x**3 does not
+_CUBE = _Bisecting("cube", lambda x: np.power(x, 3.0), _REALS, _REALS)
 
 
 def _per_element(gen, y):
     """The per-element routine over every element: the reference of the array loop."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return np.array([_bisect_scalar(gen, float(t)) for t in np.ravel(y)]).reshape(np.shape(y))
 
 
 def _array_loop(gen, y):
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return _bisect_array(gen, np.ravel(y))
 
 
@@ -171,10 +179,17 @@ class TestArrayBisection:
     SHAPES = [(), (1,), (3,), (7, 7, 7), (2401,)]
     _RNG = np.random.default_rng(2024)
     EXP_POOL = np.concatenate([[1.0, 1e-300, 1e300], np.exp(_RNG.uniform(-600.0, 600.0, 2398))])
+    _NEW = np.random.default_rng(2025)
     CASES = {
         "exp-increasing": (_bisect_exp(1.5), EXP_POOL),
         "exp-decreasing": (_bisect_exp(-2.0), EXP_POOL),
         "logit": (_LOGIT, np.concatenate([[0.0], _RNG.uniform(-30.0, 30.0, 2400)])),
+        "cube": (_CUBE, np.power(np.concatenate([[0.0, 1.0, -3.0], _NEW.uniform(-5.0, 5.0, 2398)]), 3.0)),
+        # in the piece [-511, -255] (and [255, 511]), whose outer end underflows f to 0.0
+        "exp-underflow-increasing": (_bisect_exp(1.5), np.concatenate(
+            [[5e-324, 1e-310], np.exp(1.5 * _NEW.uniform(-497.0, -256.0, 2399))])),
+        "exp-underflow-decreasing": (_bisect_exp(-2.0), np.concatenate(
+            [[5e-324, 1e-310], np.exp(-2.0 * _NEW.uniform(256.0, 372.0, 2399))])),
     }
 
     def test_shapes_straddle_the_cutoff(self):
@@ -212,6 +227,41 @@ class TestArrayBisection:
         assert np.array_equal(_bits(gen._inverse_raw(y)), _bits(want))
         assert want == pytest.approx(self.EDGE_X, rel=1e-11, abs=1e-11)
 
+    # the y = e^U(-700, 700) of default_rng(5), of 2e6, where math.log(y) != np.log(y):
+    # a per-element path taking math.log changes the bits of some of their inverses
+    LOG_DISAGREE = np.array([1.0246557460570078, 0.9746726033631985, 2.424627904449901,
+                             1.5855241080615499, 0.9934154269180644, 0.9260828733782966,
+                             0.9633390382315663, 1.1549987011733271])
+    # the ends of the first brackets: the seed, then +-(2^k - 1) or halfway to 0 and 1
+    BRACKET_ENDS = {
+        "exp-increasing": (_bisect_exp(1.5), [0.0, 1.0, -1.0, 3.0, -3.0, 7.0, -15.0, 31.0, -63.0, 255.0]),
+        "exp-decreasing": (_bisect_exp(-2.0), [0.0, -1.0, 1.0, -3.0, 15.0, -127.0, 255.0]),
+        "logit": (_LOGIT, [0.5, 0.25, 0.75, 0.125, 0.875, 2.0**-20, 1.0 - 2.0**-20]),
+        "cube": (_CUBE, [0.0, 1.0, -1.0, 3.0, -7.0, 63.0]),
+    }
+
+    @pytest.mark.parametrize("gen", [_bisect_exp(1.5), _bisect_exp(-2.0)], ids=["increasing", "decreasing"])
+    def test_targets_where_math_log_and_np_log_disagree(self, gen):
+        want = _per_element(gen, self.LOG_DISAGREE)
+        assert np.array_equal(_bits(_array_loop(gen, self.LOG_DISAGREE)), _bits(want))
+
+    @pytest.mark.parametrize("case", BRACKET_ENDS)
+    def test_a_target_at_a_bracket_end_returns_that_end(self, case):
+        gen, x = self.BRACKET_ENDS[case]
+        y = gen._eval_raw(np.array(x))
+        assert np.array_equal(_bits(_per_element(gen, y)), _bits(x))
+        assert np.array_equal(_bits(_array_loop(gen, y)), _bits(x))
+
+    @pytest.mark.parametrize("wrap", [lambda g: scale(g, 3.0), lambda g: affine(g, -2.0, 3.0)],
+                             ids=["scale", "affine-negative-slope"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_wrappers_over_a_decreasing_bisecting_generator(self, shape, wrap):
+        inner = _bisect_exp(-2.0)
+        gen = wrap(inner)
+        y = gen._eval_raw(self.EXP_POOL[:math.prod(shape)].reshape(shape))
+        want = _per_element(inner, (y - gen.b) / gen.a)
+        assert np.array_equal(_bits(gen._inverse_raw(y)), _bits(want))
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_affine_with_negative_slope_over_a_bisecting_generator(self, shape):
         inner = _bisect_exp(1.5)
@@ -239,6 +289,92 @@ class TestArrayBisection:
             many = gen.inverse(np.full(2 * _BISECT_ARRAY_MIN, 1e300))
         assert one == pytest.approx(math.log(1e300), rel=1e-12)
         assert np.array_equal(_bits(many), _bits(np.full(many.shape, one)))
+
+
+class _Counting(Generator):
+    """``gen`` with a count of its ``_eval_raw`` calls."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+        self.domain, self.codomain, self.increasing = gen.domain, gen.codomain, gen.increasing
+
+    def _eval_raw(self, x):
+        self.calls += 1
+        return self.gen._eval_raw(x)
+
+    def describe(self):
+        return self.gen.describe()
+
+    def to_json(self):
+        return self.gen.to_json()
+
+
+def _reference_bisection(gen, y):
+    """The per-element bisection the regula falsi replaced: the budget it must meet.
+
+    The first bracket that straddles ``y``, both ends evaluated (the seed
+    twice), then halving to the same stopping rule.
+    """
+    dom = gen.domain
+    lo = hi = _interior_seed(dom)
+    step = 1.0
+    for _ in range(_BISECT_MAX_ITER):
+        flo, fhi = float(gen._eval_raw(np.float64(lo))), float(gen._eval_raw(np.float64(hi)))
+        if min(flo, fhi) <= y <= max(flo, fhi):
+            break
+        lo = 0.5 * (lo + dom.lower) if math.isfinite(dom.lower) else lo - step
+        hi = 0.5 * (hi + dom.upper) if math.isfinite(dom.upper) else hi + step
+        step *= 2.0
+    increasing = fhi >= flo
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12 * max(1.0, abs(mid)):
+            return mid
+        if (float(gen._eval_raw(np.float64(mid))) < y) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _calls_and_results(inverse, gen, y):
+    """``inverse(gen, t)`` of each target, with the ``_eval_raw`` calls each took."""
+    counted, calls, results = _Counting(gen), [], []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in np.ravel(y):
+            counted.calls = 0
+            results.append(inverse(counted, float(t)))
+            calls.append(counted.calls)
+    return np.array(calls), np.array(results)
+
+
+class TestEvaluationBudget:
+    """The per-element inverse against the bisection it replaced, call for call."""
+
+    POOLS = {**TestArrayBisection.CASES,
+             **{f"edge-{name}": (gen, gen._eval_raw(np.array(TestArrayBisection.EDGE_X)))
+                for name, gen in TestArrayBisection.EDGE_CASES.items()}}
+
+    @pytest.mark.parametrize("case", POOLS)
+    def test_no_target_takes_more_calls_than_bisection(self, case):
+        gen, y = self.POOLS[case]
+        calls, got = _calls_and_results(_bisect_scalar, gen, y)
+        budget, want = _calls_and_results(_reference_bisection, gen, y)
+        worst = int(np.argmax(calls - budget))
+        assert calls[worst] <= budget[worst], f"target {y[worst]!r}: {calls[worst]} > {budget[worst]} calls"
+        # both meet the stopping rule around the same root, or the new one hits
+        # y exactly where f rounds to y over a plateau (5e-324 for exp(-2x) at
+        # 372.2 to 372.7), where bisection returns the plateau's edge
+        close = np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))
+        with np.errstate(over="ignore"):
+            assert np.all(close | (gen._eval_raw(got) == y))
+
+    @pytest.mark.parametrize("k", [1.5, -2.0])
+    def test_exp_targets_take_at_most_eight_calls_on_average(self, k):
+        x = np.random.default_rng(7).uniform(-4.0, 4.0, 500)
+        calls, got = _calls_and_results(_bisect_scalar, _bisect_exp(k), np.exp(k * x))
+        assert calls.mean() <= 8.0
+        assert got == pytest.approx(x, rel=1e-11, abs=1e-11)
 
 
 class TestInPlaceInverse:
