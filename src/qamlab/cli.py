@@ -44,10 +44,17 @@ def _load(path: str, build):
         raise ValueError(f"malformed document {path}: {exc}") from exc
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
+_BUILDERS = {"f": generator_from_json, "g": generator_from_json,
+             "space_x": DiscreteMeasureSpace.from_json, "space_y": DiscreteMeasureSpace.from_json,
+             "h": SimpleFunctionMatrix.from_json}
+
+
+def _inputs(args: argparse.Namespace, *names: str) -> list:
+    """The documents of the named options, in order; all of them must be given."""
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
         raise ValueError(f"{args.command} requires --{', --'.join(m.replace('_', '-') for m in missing)}")
+    return [_load(getattr(args, n), _BUILDERS[n]) for n in names]
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -62,23 +69,18 @@ def _tolerance(args: argparse.Namespace) -> float:
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, object]:
     tol = _tolerance(args)
-    _require(args, "f", "g", "space_x", "space_y", "h")
-    f = _load(args.f, generator_from_json)
-    g = _load(args.g, generator_from_json)
-    grid = ProductGrid(_load(args.space_x, DiscreteMeasureSpace.from_json),
-                       _load(args.space_y, DiscreteMeasureSpace.from_json))
-    h = _load(args.h, SimpleFunctionMatrix.from_json)
+    f, g, space_x, space_y, h = _inputs(args, "f", "g", "space_x", "space_y", "h")
     # values outside either domain are a malformed input, not a numeric failure
     for gen in (f, g):
         if not gen.domain.contains_all(h.values):
             raise ValueError(f"h contains values outside the domain of {gen.describe()}")
-    report = commutation_residual(f, g, grid, h)
+    report = commutation_residual(f, g, ProductGrid(space_x, space_y), h)
     doc = {
         "command": "check",
         "f": f.to_json(),
         "g": g.to_json(),
-        "space_x": grid.space_x.to_json(),
-        "space_y": grid.space_y.to_json(),
+        "space_x": space_x.to_json(),
+        "space_y": space_y.to_json(),
         "h": h.to_json(),
         "tolerance": tol,
         **report.to_dict(),
@@ -89,11 +91,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, object]:
 
 def _cmd_witness(args: argparse.Namespace) -> tuple[int, object]:
     value_range = _parse_range(args.value_range)
-    _require(args, "f", "g", "space_x", "space_y")
-    f = _load(args.f, generator_from_json)
-    g = _load(args.g, generator_from_json)
-    space_x = _load(args.space_x, DiscreteMeasureSpace.from_json)
-    space_y = _load(args.space_y, DiscreteMeasureSpace.from_json)
+    f, g, space_x, space_y = _inputs(args, "f", "g", "space_x", "space_y")
     grid = GridSpec(args.grid, value_range, Spacing(args.spacing))
     if len(space_x) == 2 and len(space_y) == 2:
         wx, wy = space_x.weights, space_y.weights
@@ -128,9 +126,7 @@ def _cmd_suite(args: argparse.Namespace) -> tuple[int, object]:
 
 def _cmd_phi(args: argparse.Namespace) -> tuple[int, object]:
     tol = _tolerance(args)
-    _require(args, "f", "g")
-    f = _load(args.f, generator_from_json)
-    g = _load(args.g, generator_from_json)
+    f, g = _inputs(args, "f", "g")
     masses: list[float] = []
     for axis, path in (("X", args.space_x), ("Y", args.space_y)):
         weights = [1.0, 1.0] if path is None else \
@@ -161,8 +157,6 @@ def _to_csv(doc: dict) -> str:
         rows = doc["checks"]
     else:
         rows = [doc]
-    if not rows:
-        return ""
     columns = list(rows[0].keys())
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")

@@ -315,40 +315,31 @@ def _bisect_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
     return flat.reshape(y.shape) if y.ndim else flat[0]
 
 
-def _brackets(gen: Generator):
-    """The brackets ``(lo, hi, f(lo), f(hi))`` tried in turn, as Python floats.
-
-    The interior seed first, then each end moves outward: halfway to a
-    finite domain end, by a doubling step toward an infinite one.  The
-    sequence does not depend on the target.
-    """
-    dom = gen.domain
-    lo = hi = _interior_seed(dom)
-    step = 1.0
-    for _ in range(_BISECT_MAX_ITER):
-        flo = float(gen._eval_raw(np.float64(lo)))
-        yield lo, hi, flo, flo if hi == lo else float(gen._eval_raw(np.float64(hi)))
-        lo = 0.5 * (lo + dom.lower) if math.isfinite(dom.lower) else lo - step
-        hi = 0.5 * (hi + dom.upper) if math.isfinite(dom.upper) else hi + step
-        step *= 2.0
-
-
 def _pieces(gen: Generator):
-    """The pieces ``(lo, hi, f(lo), f(hi), width)`` of the brackets, in turn.
+    """The pieces ``(lo, hi, f(lo), f(hi), width)`` tried in turn, as Python floats.
 
-    The seed alone, then for each further bracket the piece from its lower
-    end to the previous lower end and the piece from the previous upper end
-    to its upper end; ``width`` is that bracket's.  The first piece that
-    straddles a target lies in the first bracket that does, and both its
-    ends are evaluated already.
+    The brackets start at the interior seed, and each end moves outward:
+    halfway to a finite domain end, by a doubling step toward an infinite
+    one.  The seed alone is the first piece; each further bracket gives the
+    piece from its lower end to the previous lower end, then the piece from
+    the previous upper end to its upper end, with ``width`` that bracket's.
+    The first piece that straddles a target lies in the first bracket that
+    does, and both its ends are evaluated already.  The sequence does not
+    depend on the target.
     """
-    walk = _brackets(gen)
-    prev = next(walk)
-    yield *prev, 0.0
-    for lo, hi, flo, fhi in walk:
-        yield lo, prev[0], flo, prev[2], hi - lo
-        yield prev[1], hi, prev[3], fhi, hi - lo
-        prev = lo, hi, flo, fhi
+    dom, f64 = gen.domain, np.float64
+    lo = hi = _interior_seed(dom)
+    flo = fhi = float(gen._eval_raw(f64(lo)))
+    yield lo, hi, flo, fhi, 0.0
+    step = 1.0
+    for _ in range(_BISECT_MAX_ITER - 1):
+        nlo = 0.5 * (lo + dom.lower) if math.isfinite(dom.lower) else lo - step
+        nhi = 0.5 * (hi + dom.upper) if math.isfinite(dom.upper) else hi + step
+        step *= 2.0
+        nflo, nfhi = float(gen._eval_raw(f64(nlo))), float(gen._eval_raw(f64(nhi)))
+        yield nlo, lo, nflo, flo, nhi - nlo
+        yield hi, nhi, fhi, nfhi, nhi - nlo
+        lo, hi, flo, fhi = nlo, nhi, nflo, nfhi
 
 
 def _bisect_scalar(gen: Generator, y: float) -> float:
@@ -633,6 +624,8 @@ class AffineGenerator(Generator):
 
     def to_json(self) -> dict:
         doc = self.inner.to_json()
+        if "affine" in doc:
+            raise ValueError(f"no document holds {self.describe()}: it allows one affine")
         doc["affine"] = {"a": self.a, "b": self.b}
         return doc
 
@@ -651,6 +644,8 @@ class ScaledGenerator(AffineGenerator):
 
     def to_json(self) -> dict:
         doc = self.inner.to_json()
+        if "scale" in doc or "affine" in doc:
+            raise ValueError(f"no document holds {self.describe()}: it allows one scale, inside the affine")
         doc["scale"] = self.a
         return doc
 

@@ -241,17 +241,13 @@ def additivity_residual(
     xvec: tuple[float, float],
     yvec: tuple[float, float],
 ) -> ResidualReport:
-    """Additivity: Phi(x + y) vs Phi(x) + Phi(y).
+    """Additivity: Phi(x + y) vs Phi(x) + Phi(y), the weighted affinity at unit weights.
 
     Caution: along a ray (yvec = xvec) homogeneity makes this vanish even
     for nonlinear phi; off-ray points are the discriminating ones.
     """
-    _check_positive(xvec=xvec, yvec=yvec)
-    x1, x2 = xvec
-    y1, y2 = yvec
-    lhs = big_phi(f, g, alpha1, alpha2, x1 + y1, x2 + y2)
-    rhs = big_phi(f, g, alpha1, alpha2, x1, x2) + big_phi(f, g, alpha1, alpha2, y1, y2)
-    return ResidualReport.from_sides(lhs, rhs)
+    # 1.0 * v == v for every float, so the sides are Phi(x + y) and Phi(x) + Phi(y) exactly
+    return jensen_affinity_residual(f, g, alpha1, alpha2, 1.0, 1.0, xvec, yvec)
 
 
 def phi_monotone_check(

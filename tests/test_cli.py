@@ -251,6 +251,24 @@ class TestSuiteAndPhi:
         assert main(["check", "--f", docs["exp1"]]) == 2
         assert main(["phi", "--f", docs["exp1"]]) == 2
 
+    @pytest.mark.parametrize("argv, names", [
+        (["check", "--g"], "--f, --space-x, --space-y, --h"),
+        (["witness", "--space-x"], "--f, --g, --space-y"),
+        (["phi", "--space-x"], "--f, --g"),
+    ])
+    def test_missing_inputs_are_named_in_option_order(self, docs, capsys, argv, names):
+        # the one given option is unreadable: the missing ones are reported before any load
+        code = main([*argv, str(docs["tmp"] / "absent.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"input error: {argv[0]} requires {names}\n"
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_phi_refuses_a_space_without_two_atoms(self, docs, capsys, axis):
+        three = write(docs["tmp"] / "three.json", {"weights": [1.0, 1.0, 1.0]})
+        code = main(["phi", "--f", docs["exp1"], "--g", docs["exp2"], f"--space-{axis}", three])
+        assert code == 2
+        assert f"phi diagnostics need a two-atom {axis.upper()} space" in capsys.readouterr().err
+
 
 class TestOptionsByCommand:
     @pytest.mark.parametrize(

@@ -607,9 +607,34 @@ class TestJsonParsing:
         # affine(scale(exp)): 1 * (2 * e^0) + 1 = 3
         assert gen.eval(0.0) == pytest.approx(3.0)
 
-    def test_round_trip(self):
-        doc = {"family": "power", "p": 0.5, "scale": 3.0}
+    @pytest.mark.parametrize("doc", [
+        {"family": "exp", "k": -2.0},
+        {"family": "power", "p": -1.0},
+        {"family": "identity"},
+        {"family": "log"},
+        {"family": "power", "p": 0.5, "scale": 3.0},
+        {"family": "log", "affine": {"a": -2.0, "b": 0.5}},
+        {"family": "exp", "k": 1.0, "scale": 2.0, "affine": {"a": 3.0, "b": -1.0}},
+    ])
+    def test_round_trip(self, doc):
         assert generator_from_json(doc).to_json() == doc
+
+    def test_python_built_stack_round_trips(self):
+        gen = affine(scale(ExpGenerator(1.0), 2.0), 3.0, -1.0)
+        back = generator_from_json(gen.to_json())
+        xs = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(back.eval(xs), gen.eval(xs))
+
+    @pytest.mark.parametrize("build", [
+        lambda e: scale(scale(e, 2.0), 3.0),
+        lambda e: affine(affine(e, 2.0, 1.0), 3.0, 4.0),
+        lambda e: scale(affine(e, 2.0, 1.0), 3.0),
+    ], ids=["scale-scale", "affine-affine", "scale-affine"])
+    def test_stack_without_a_document_raises(self, build):
+        # such a document would read back as another generator
+        gen = build(ExpGenerator(1.0))
+        with pytest.raises(ValueError, match="no document holds"):
+            gen.to_json()
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -426,6 +426,13 @@ class TestTableEvaluator:
                           GridSpec(21, (0.1, 10.0))),
     }
 
+    @pytest.fixture(autouse=True, params=[witness_search.BATCH_SIZE, 64, 16],
+                    ids=lambda size: f"batch{size}")
+    def batch_size(self, request, monkeypatch):
+        # below the default, these grids take several leading digits and build
+        # their tables in several steps, as block searches on 65 points and up do
+        monkeypatch.setattr(witness_search, "BATCH_SIZE", request.param)
+
     @staticmethod
     def brute_force(f, g, wx, wy, pts):
         shape = (len(wx), len(wy))
