@@ -23,11 +23,13 @@ safeguarded regula falsi on log f or f; 200 iteration cap, 1e-12 relative
 tolerance), which converges unconditionally for strictly monotone
 functions in at most one step more than bisection of the same bracket,
 and lands exp(kx) in one or two.  The bracket sequence does not depend on
-the target, so an array is inverted in one masked loop in which every
-element takes the per-element routine's steps: the results are the same
-bit for bit.  The loop's fixed cost per call is about thirty elements'
-worth of the per-element routine, so arrays below ``_BISECT_ARRAY_MIN``
-elements stay per element.
+the target, so each generator walks it once, as far as its targets need,
+and keeps it: a generator's ``domain``, ``codomain`` and ``_eval_raw``
+must not change after its first inversion.  An array is inverted in one
+masked loop in which every element takes the per-element routine's
+steps: the results are the same bit for bit.  The loop's fixed cost per
+call is about fifty elements' worth of the per-element routine, so
+arrays below ``_BISECT_ARRAY_MIN`` elements stay per element.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ _BISECT_REL_TOL = 1e-12
 _NUDGE = 0.4 * _BISECT_REL_TOL
 # arrays of at least this many elements are inverted in one masked loop;
 # below it the loop's fixed cost per call (about 0.1 ms for exp(kx) targets
-# on a 2-vCPU x86 host) exceeds the per-element routine's (about 5 us an
-# element): the two cross at 28-32 elements for exp(kx), above 40 for
-# logit and x + e^x
-_BISECT_ARRAY_MIN = 32
+# on a 2-vCPU x86 host) exceeds the per-element routine's (about 2-3 us an
+# element once the generator's brackets are walked): the two cross at 44-56
+# elements for exp(kx) at rates -2 to 2, above 64 for logit and x + e^x
+_BISECT_ARRAY_MIN = 48
 # points of the sample grid on which the admissibility and equivalence checks run
 _SAMPLE_COUNT = 17
 
@@ -185,12 +187,14 @@ class Generator(ABC):
     1e-12 * max(1, |x|) wide, across the whole array from
     ``_BISECT_ARRAY_MIN`` elements and per element below that, where the
     array loop's fixed cost would dominate; subclasses override it when a
-    closed form exists.  The default needs ``_eval_raw`` to act
-    elementwise and to give a 0-d input the same bits as the same element
-    of an array, so that both paths agree bit for bit: numpy ufunc calls
-    such as ``np.exp(k * x)`` or ``np.power(x, 3.0)`` do, the ``**``
-    operator does not (``x**3`` differs between 0-d and array input in the
-    last bit on a few percent of values).
+    closed form exists.  The default keeps its bracket walk on the
+    generator (see ``_walk``), so ``domain``, ``codomain`` and
+    ``_eval_raw`` must not change after the first inversion.  It needs
+    ``_eval_raw`` to act elementwise and to give a 0-d input the same bits
+    as the same element of an array, so that both paths agree bit for
+    bit: numpy ufunc calls such as ``np.exp(k * x)`` or ``np.power(x,
+    3.0)`` do, the ``**`` operator does not (``x**3`` differs between 0-d
+    and array input in the last bit on a few percent of values).
 
     ``_inverse_raw(y, out)`` writes its result into the float array
     ``out`` when one is given, and returns it; ``out`` may be ``y``
@@ -204,6 +208,8 @@ class Generator(ABC):
     domain: Interval
     codomain: Interval
     increasing: bool
+    # the default inverse's bracket walk, kept by ``_walk`` from the first inversion on
+    _walk_cache: tuple | None = None
 
     # -- public, validating API -------------------------------------------
     def eval(self, x):
@@ -297,7 +303,7 @@ def masked_inverse(gen: Generator, y: np.ndarray, out: np.ndarray | None = None)
 def _bisect_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
     """Invert a strictly monotone generator elementwise: bracket, then regula falsi.
 
-    Each target is placed in the first piece of ``_pieces`` that straddles
+    Each target is placed in the first piece of ``_walk`` that straddles
     it and refined by the safeguarded regula falsi of ``_falsi_scalar``
     until the bracket is at most 1e-12 * max(1, |midpoint|) wide, and the
     midpoint is returned.  Arrays of ``_BISECT_ARRAY_MIN`` elements or more
@@ -315,31 +321,53 @@ def _bisect_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
     return flat.reshape(y.shape) if y.ndim else flat[0]
 
 
-def _pieces(gen: Generator):
-    """The pieces ``(lo, hi, f(lo), f(hi), width)`` tried in turn, as Python floats.
+def _walk(gen: Generator, need: int = 0):
+    """``gen``'s bracket walk, cached on it: ``(lift, pieces, more)``.
+
+    ``pieces`` holds more than ``need`` pieces, or all of them when ``more``
+    is None.  Each piece is a flat tuple of Python floats ``(low, high, lo,
+    hi, f(lo), f(hi), width, lift(f(lo)), lift(f(hi)))``: its value bounds
+    min/max(f(lo), f(hi)), its ends and their values, the width of the
+    bracket it came from, and its lifted end values, where ``lift`` is
+    ``np.log`` for a (0, inf) codomain and ``float`` otherwise.
 
     The brackets start at the interior seed, and each end moves outward:
     halfway to a finite domain end, by a doubling step toward an infinite
     one.  The seed alone is the first piece; each further bracket gives the
     piece from its lower end to the previous lower end, then the piece from
-    the previous upper end to its upper end, with ``width`` that bracket's.
-    The first piece that straddles a target lies in the first bracket that
-    does, and both its ends are evaluated already.  The sequence does not
-    depend on the target.
+    the previous upper end to its upper end.  The first piece that
+    straddles a target lies in the first bracket that does, and both its
+    ends are evaluated already.  The sequence does not depend on the
+    target, so it is walked once per generator, a bracket at a time as
+    targets need it, and kept with the state it continues from (``more``).
+    Each extension is published as a new tuple: threads that extend at
+    once compute the same pieces, and the walk any of them keeps is right.
     """
-    dom, f64 = gen.domain, np.float64
-    lo = hi = _interior_seed(dom)
-    flo = fhi = float(gen._eval_raw(f64(lo)))
-    yield lo, hi, flo, fhi, 0.0
-    step = 1.0
-    for _ in range(_BISECT_MAX_ITER - 1):
+    walk = gen._walk_cache
+    if walk is not None and (len(walk[1]) > need or walk[2] is None):
+        return walk
+    raw, dom, f64 = gen._eval_raw, gen.domain, np.float64
+    if walk is None:
+        lift = np.log if gen.codomain_kind is CodomainKind.POSITIVE_REALS else float
+        lo = hi = _interior_seed(dom)
+        flo = fhi = float(raw(f64(lo)))
+        lflo = lfhi = float(lift(f64(flo)))
+        pieces = [(flo, fhi, lo, hi, flo, fhi, 0.0, lflo, lfhi)]
+        step, left = 1.0, _BISECT_MAX_ITER - 1
+    else:
+        lift, pieces, (lo, hi, flo, fhi, lflo, lfhi, step, left) = walk[0], list(walk[1]), walk[2]
+    while len(pieces) <= need and left:
         nlo = 0.5 * (lo + dom.lower) if math.isfinite(dom.lower) else lo - step
         nhi = 0.5 * (hi + dom.upper) if math.isfinite(dom.upper) else hi + step
         step *= 2.0
-        nflo, nfhi = float(gen._eval_raw(f64(nlo))), float(gen._eval_raw(f64(nhi)))
-        yield nlo, lo, nflo, flo, nhi - nlo
-        yield hi, nhi, fhi, nfhi, nhi - nlo
-        lo, hi, flo, fhi = nlo, nhi, nflo, nfhi
+        nflo, nfhi = float(raw(f64(nlo))), float(raw(f64(nhi)))
+        nlflo, nlfhi = float(lift(f64(nflo))), float(lift(f64(nfhi)))
+        pieces.append((min(nflo, flo), max(nflo, flo), nlo, lo, nflo, flo, nhi - nlo, nlflo, lflo))
+        pieces.append((min(fhi, nfhi), max(fhi, nfhi), hi, nhi, fhi, nfhi, nhi - nlo, lfhi, nlfhi))
+        lo, hi, flo, fhi, lflo, lfhi, left = nlo, nhi, nflo, nfhi, nlflo, nlfhi, left - 1
+    walk = lift, tuple(pieces), (lo, hi, flo, fhi, lflo, lfhi, step, left) if left else None
+    gen._walk_cache = walk
+    return walk
 
 
 def _bisect_scalar(gen: Generator, y: float) -> float:
@@ -348,25 +376,23 @@ def _bisect_scalar(gen: Generator, y: float) -> float:
 
 
 def _bisect_elements(gen: Generator, ys: list[float]) -> list[float]:
-    """The inverse of each value, over one walk of the pieces, then per element."""
-    start = [None] * len(ys)
-    pending = list(range(len(ys)))
-    for piece in _pieces(gen):
-        low, high = min(piece[2], piece[3]), max(piece[2], piece[3])
-        for i in pending:
-            if low <= ys[i] <= high:
-                start[i] = piece
-        pending = [i for i in pending if start[i] is None]
-        if not pending:
-            break
-    else:
-        raise RangeError(f"could not bracket {ys[pending[0]]} in the range of {gen.describe()}")
-    return [_falsi_scalar(gen, y, *piece) for y, piece in zip(ys, start)]
+    """The inverse of each value, from the first piece of the walk that straddles it."""
+    lift, pieces, more = _walk(gen)
+    raw, out = gen._eval_raw, []
+    for y in ys:
+        i = 0
+        while not (pieces[i][0] <= y <= pieces[i][1]):
+            i += 1
+            if i == len(pieces):
+                if more is None:
+                    raise RangeError(f"could not bracket {y} in the range of {gen.describe()}")
+                lift, pieces, more = _walk(gen, i)
+        out.append(_falsi_scalar(raw, lift, y, pieces[i]))
+    return out
 
 
-def _falsi_scalar(gen: Generator, y: float, lo: float, hi: float, flo: float, fhi: float,
-                  bound: float) -> float:
-    """The root of the residual of ``y`` in the piece ``[lo, hi]`` that straddles it.
+def _falsi_scalar(raw, lift, y: float, piece: tuple) -> float:
+    """The root of the residual of ``y`` in the piece of ``_walk`` that straddles it.
 
     The residual is s * (log f(x) - log y) for a positive codomain (affine
     in x for exp(kx), so one step lands on the root), else s * (f(x) - y),
@@ -384,15 +410,15 @@ def _falsi_scalar(gen: Generator, y: float, lo: float, hi: float, flo: float, fh
     bisection of that bracket, even where a flat root (x**3 near 0) makes
     regula falsi creep from one side.
     """
-    raw, f64, tol = gen._eval_raw, np.float64, _BISECT_REL_TOL
-    lift = np.log if gen.codomain_kind is CodomainKind.POSITIVE_REALS else float
+    _, _, lo, hi, flo, fhi, bound, lflo, lfhi = piece
+    f64, tol = np.float64, _BISECT_REL_TOL
     if flo == y:
         hi = lo
     if fhi == y:
         lo = hi
     s = 1.0 if fhi >= flo else -1.0
     ty = float(lift(f64(y)))
-    rlo, rhi = s * (float(lift(f64(flo))) - ty), s * (float(lift(f64(fhi))) - ty)
+    rlo, rhi = s * (lflo - ty), s * (lfhi - ty)
     side = 0.0
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -428,29 +454,34 @@ def _falsi_scalar(gen: Generator, y: float, lo: float, hi: float, flo: float, fh
 def _bisect_array(gen: Generator, y: np.ndarray) -> np.ndarray:
     """``_bisect_scalar`` of every element of a flat array, as one masked loop.
 
-    Each element gets the first piece that straddles it and then takes the
-    steps ``_falsi_scalar`` would, in the same operations on float64, and
-    leaves the loop at the midpoint where it returns, so the results are
-    the same bit for bit.
+    Each element gets the first piece of the walk that straddles it and
+    then takes the steps ``_falsi_scalar`` would, in the same operations on
+    float64, and leaves the loop at the midpoint where it returns, so the
+    results are the same bit for bit.
     """
-    lo, hi, flo, fhi, bound = (np.empty_like(y) for _ in range(5))
+    lift, pieces, more = _walk(gen)
+    start = np.empty(y.size, dtype=np.intp)
     pending = np.arange(y.size)
-    for piece in _pieces(gen):
-        inside = (min(piece[2], piece[3]) <= y[pending]) & (y[pending] <= max(piece[2], piece[3]))
-        placed = pending[inside]
-        lo[placed], hi[placed], flo[placed], fhi[placed], bound[placed] = piece
+    i = 0
+    while pending.size:
+        if i == len(pieces):
+            if more is None:
+                raise RangeError(
+                    f"could not bracket {float(y[pending[0]])} in the range of {gen.describe()}")
+            lift, pieces, more = _walk(gen, i)
+        ys = y[pending]
+        inside = (pieces[i][0] <= ys) & (ys <= pieces[i][1])
+        start[pending[inside]] = i
         pending = pending[~inside]
-        if not pending.size:
-            break
-    else:
-        raise RangeError(f"could not bracket {float(y[pending[0]])} in the range of {gen.describe()}")
+        i += 1
+    _, _, lo, hi, flo, fhi, bound, lflo, lfhi = np.take(np.array(pieces[:i]).T, start, axis=1)
     raw, tol = gen._eval_raw, _BISECT_REL_TOL
-    lift = np.log if gen.codomain_kind is CodomainKind.POSITIVE_REALS else np.asarray
+    lift = np.asarray if lift is float else lift
     hi = np.where(flo == y, lo, hi)
     lo = np.where(fhi == y, hi, lo)
     s = np.where(fhi >= flo, 1.0, -1.0)
     ty = lift(y)
-    rlo, rhi = s * (lift(flo) - ty), s * (lift(fhi) - ty)
+    rlo, rhi = s * (lflo - ty), s * (lfhi - ty)
     side = np.zeros_like(y)
     out = np.empty_like(y)
     active = np.arange(y.size)

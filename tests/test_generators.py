@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from qamlab.generators import (
     _bisect_array,
     _bisect_scalar,
     _interior_seed,
+    _walk,
 )
 
 
@@ -337,14 +341,19 @@ def _reference_bisection(gen, y):
     return 0.5 * (lo + hi)
 
 
-def _calls_and_results(inverse, gen, y):
-    """``inverse(gen, t)`` of each target, with the ``_eval_raw`` calls each took."""
-    counted, calls, results = _Counting(gen), [], []
+def _calls_and_results(inverse, gen, y, counted=None):
+    """``inverse`` of each target, with the ``_eval_raw`` calls each took.
+
+    Each target gets a fresh ``_Counting`` of ``gen``, so that its calls
+    include the whole bracket walk, unless one ``counted`` is given for all.
+    """
+    calls, results = [], []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for t in np.ravel(y):
-            counted.calls = 0
-            results.append(inverse(counted, float(t)))
-            calls.append(counted.calls)
+            target_counted = _Counting(gen) if counted is None else counted
+            target_counted.calls = 0
+            results.append(inverse(target_counted, float(t)))
+            calls.append(target_counted.calls)
     return np.array(calls), np.array(results)
 
 
@@ -375,6 +384,108 @@ class TestEvaluationBudget:
         calls, got = _calls_and_results(_bisect_scalar, _bisect_exp(k), np.exp(k * x))
         assert calls.mean() <= 8.0
         assert got == pytest.approx(x, rel=1e-11, abs=1e-11)
+
+    @pytest.mark.parametrize("k", [1.5, -2.0])
+    def test_exp_targets_on_a_walked_generator_take_at_most_two_calls(self, k):
+        y = np.exp(k * np.random.default_rng(7).uniform(-4.0, 4.0, 500))
+        counted = _Counting(_bisect_exp(k))
+        _, cold = _calls_and_results(_bisect_scalar, None, y, counted)
+        calls, warm = _calls_and_results(_bisect_scalar, None, y, counted)
+        assert calls.max() <= 2
+        assert np.array_equal(_bits(warm), _bits(cold))
+
+
+def _fresh(gen):
+    """A ``_Bisecting`` like ``gen``, with no bracket walk cached yet."""
+    return _Bisecting(gen.name, gen.fn, gen.domain, gen.codomain, gen.increasing)
+
+
+def _reference_walk(gen, n):
+    """The first n pieces ``(lo, hi, f(lo), f(hi), width)`` of the bracket walk, walked afresh."""
+    dom, f64 = gen.domain, np.float64
+    lo = hi = _interior_seed(dom)
+    flo = fhi = float(gen._eval_raw(f64(lo)))
+    pieces, step = [(lo, hi, flo, fhi, 0.0)], 1.0
+    while len(pieces) < n:
+        nlo = 0.5 * (lo + dom.lower) if math.isfinite(dom.lower) else lo - step
+        nhi = 0.5 * (hi + dom.upper) if math.isfinite(dom.upper) else hi + step
+        step *= 2.0
+        nflo, nfhi = float(gen._eval_raw(f64(nlo))), float(gen._eval_raw(f64(nhi)))
+        pieces += [(nlo, lo, nflo, flo, nhi - nlo), (hi, nhi, fhi, nfhi, nhi - nlo)]
+        lo, hi, flo, fhi = nlo, nhi, nflo, nfhi
+    return pieces[:n]
+
+
+class TestBracketWalkCache:
+    """The bracket walk kept on the generator: the same pieces and the same bits as walking afresh."""
+
+    GENERATORS = {case: gen for case, (gen, _) in TestArrayBisection.BRACKET_ENDS.items()}
+
+    @pytest.mark.parametrize("case", GENERATORS)
+    def test_cached_pieces_equal_the_uncached_walk(self, case):
+        gen = _fresh(self.GENERATORS[case])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # extended a bracket, then several at once, then far enough to overflow exp
+            for need in (0, 1, 2, 9, 60):
+                lift, pieces, more = _walk(gen, need)
+                assert len(pieces) > need and more is not None
+                want = _reference_walk(gen, len(pieces))
+                positive = gen.codomain_kind is CodomainKind.POSITIVE_REALS
+                assert lift is (np.log if positive else float)
+                lifted = np.log if positive else np.asarray
+                for piece, (lo, hi, flo, fhi, width) in zip(pieces, want):
+                    expect = (min(flo, fhi), max(flo, fhi), lo, hi, flo, fhi, width,
+                              float(lifted(flo)), float(lifted(fhi)))
+                    assert all(type(v) is float for v in piece)
+                    assert np.array_equal(_bits(piece), _bits(expect))
+
+    @pytest.mark.parametrize("path", [_per_element, _array_loop], ids=["per-element", "array"])
+    @pytest.mark.parametrize("k", [1.5, -2.0])
+    def test_extending_the_cache_gives_the_bits_of_a_fresh_generator(self, k, path):
+        targets = np.concatenate([[1e300, 5e-324], TestArrayBisection.EXP_POOL[3:2 * _BISECT_ARRAY_MIN]])
+        gen = _bisect_exp(k)
+        path(gen, np.array([1.0, math.exp(k)]))
+        walked = len(gen._walk_cache[1])
+        got = path(gen, targets)
+        assert len(gen._walk_cache[1]) > walked
+        assert np.array_equal(_bits(got), _bits(path(_bisect_exp(k), targets)))
+
+    @pytest.mark.parametrize("path", [_per_element, _array_loop], ids=["per-element", "array"])
+    def test_an_unbracketable_target_raises_the_same_error_again(self, path):
+        gen = _fresh(_ARCTAN)
+        y = np.linspace(-1.5, 1.5, 2 * _BISECT_ARRAY_MIN)
+        y[5] = 2.0
+        for _ in range(2):
+            with pytest.raises(RangeError) as error:
+                path(gen, y)
+            assert str(error.value) == "could not bracket 2.0 in the range of arctan"
+            assert gen._walk_cache[2] is None
+
+    def test_threads_extending_one_fresh_generator_get_the_single_thread_bits(self):
+        # more threads than cores, switching often, on arrays on both sides of the cutoff
+        targets = TestArrayBisection.EXP_POOL
+        pools = (targets[:_BISECT_ARRAY_MIN // 2], targets[_BISECT_ARRAY_MIN // 2:4 * _BISECT_ARRAY_MIN],
+                 targets[::-97], targets[1:_BISECT_ARRAY_MIN + 1])
+        want = [_bisect_exp(1.5)._inverse_raw(y) for y in pools]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(pools)) as pool:
+                for _ in range(20):
+                    gen, barrier = _bisect_exp(1.5), threading.Barrier(len(pools), timeout=30)
+
+                    def invert(y, gen=gen, barrier=barrier):
+                        barrier.wait()
+                        return gen._inverse_raw(y)
+
+                    futures = [pool.submit(invert, y) for y in pools]
+                    for future, expect in zip(futures, want):
+                        assert np.array_equal(_bits(future.result(timeout=60)), _bits(expect))
+                    with np.errstate(over="ignore"):
+                        pieces = gen._walk_cache[1]
+                        assert [p[2:7] for p in pieces] == _reference_walk(gen, len(pieces))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestInPlaceInverse:
@@ -435,6 +546,19 @@ class TestBisectionInSearches:
         found, twin = (full_witness_search(f, g, (2, 3), spaces, GridSpec(5, (0.2, 2.0)), 1e-6)
                        for f, g in self.PAIRS)
         self.assert_same_witness(found, twin)
+
+    # fresh pairs, so that both workers walk the brackets of the same generators at once
+    @pytest.mark.parametrize("search", [
+        lambda f, g, workers: block_witness_search(f, g, 0.7, 1.3, 1.1, 0.6, GridSpec(7, (0.2, 2.0)),
+                                                   1e-6, workers=workers),
+        lambda f, g, workers: full_witness_search(
+            f, g, (2, 3), (DiscreteMeasureSpace([0.8, 1.5]), DiscreteMeasureSpace([0.6, 1.2, 0.9])),
+            GridSpec(5, (0.2, 2.0)), 1e-6, workers=workers),
+    ], ids=["block", "full"])
+    def test_two_workers_give_the_witness_of_one(self, search):
+        one, two = (search(_bisect_exp(1.0), _bisect_exp(2.0), workers) for workers in (1, 2))
+        assert one is not None
+        assert two.to_json() == one.to_json()
 
 
 class TestWrappers:
