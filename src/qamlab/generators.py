@@ -73,6 +73,10 @@ _NUDGE = 0.4 * _BISECT_REL_TOL
 # element once the generator's brackets are walked): the two cross at 44-56
 # elements for exp(kx) at rates -2 to 2, above 64 for logit and x + e^x
 _BISECT_ARRAY_MIN = 48
+# arrays of at most this many elements are range-tested on their Python
+# floats; above it two reductions are cheaper (about 2.5 us; the two cross
+# between 48 and 64 elements of a float array on a 2-vCPU x86 host)
+_RANGE_LIST_MAX = 32
 # points of the sample grid on which the admissibility and equivalence checks run
 _SAMPLE_COUNT = 17
 
@@ -86,9 +90,10 @@ class Interval:
     """A real interval with endpoint openness flags.
 
     Infinite endpoints must be open.  ``contains`` works elementwise on
-    arrays; ``sample_points`` returns a fixed deterministic grid spread
-    across the interior, geometric toward infinite endpoints, used by the
-    sampled equivalence checks.
+    arrays; ``contains_all`` is ``contains(x).all()`` without the mask;
+    ``sample_points`` returns a fixed deterministic grid spread across the
+    interior, geometric toward infinite endpoints, used by the sampled
+    equivalence checks.
     """
 
     lower: float
@@ -109,19 +114,30 @@ class Interval:
         return self.lower_open and self.upper_open
 
     def contains(self, x) -> np.ndarray | bool:
-        ok = self._mask(x)
-        return bool(ok) if ok.ndim == 0 else ok
-
-    def _mask(self, x):
-        """``contains`` as a numpy bool array, or a numpy bool for a 0-d x."""
         # infinite ends are open, so the two comparisons reject NaN and +-inf
         x = np.asarray(x, dtype=float)
         ok = (x > self.lower) if self.lower_open else (x >= self.lower)
         ok &= (x < self.upper) if self.upper_open else (x <= self.upper)
-        return ok
+        return bool(ok) if ok.ndim == 0 else ok
 
     def contains_all(self, x) -> bool:
-        return bool(np.all(self.contains(x)))
+        """Whether every element of x is inside; True for an empty x.
+
+        Arrays of at most ``_RANGE_LIST_MAX`` elements, empty ones too, are
+        tested element by element as Python floats; larger ones by their
+        NaN-propagating minimum and maximum, which are both inside exactly
+        when every element is.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.size <= _RANGE_LIST_MAX:
+            vals = x.ravel().tolist()
+        else:
+            vals = np.minimum.reduce(x, axis=None), np.maximum.reduce(x, axis=None)
+        lo, hi, lo_open, hi_open = self.lower, self.upper, self.lower_open, self.upper_open
+        for v in vals:
+            if not ((v > lo if lo_open else v >= lo) and (v < hi if hi_open else v <= hi)):
+                return False
+        return True
 
     def intersection(self, other: "Interval") -> "Interval | None":
         if self.lower > other.lower or (self.lower == other.lower and self.lower_open):
@@ -279,11 +295,12 @@ def _into(result, out: np.ndarray | None = None):
 def _masked(raw, valid: Interval, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``raw(x)``, or ``raw(x, out)``, with NaN where x is outside ``valid``.
 
-    Only the fallback for a partly invalid x allocates when ``out`` is given.
+    Only the fallback for a partly invalid x builds a mask, and only it
+    allocates when ``out`` is given.
     """
-    ok = valid._mask(x)
-    if ok.all():
+    if valid.contains_all(x):
         return raw(x) if out is None else raw(x, out)
+    ok = valid.contains(x)
     return _into(np.where(ok, raw(np.where(ok, x, _interior_seed(valid))), np.nan), out)
 
 
@@ -300,6 +317,7 @@ def masked_inverse(gen: Generator, y: np.ndarray, out: np.ndarray | None = None)
     return _masked(gen._inverse_raw, gen.codomain, y, out)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _bisect_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
     """Invert a strictly monotone generator elementwise: bracket, then regula falsi.
 
@@ -313,11 +331,10 @@ def _bisect_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
     infinity or underflows to 0 still compares correctly with the target,
     and its residual (log 0, inf - inf) sends the step to the midpoint.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if y.size < _BISECT_ARRAY_MIN:
-            flat = np.array(_bisect_elements(gen, y.ravel().tolist()))
-        else:
-            flat = _bisect_array(gen, y.ravel())
+    if y.size < _BISECT_ARRAY_MIN:
+        flat = np.array(_bisect_elements(gen, y.ravel().tolist()))
+    else:
+        flat = _bisect_array(gen, y.ravel())
     return flat.reshape(y.shape) if y.ndim else flat[0]
 
 

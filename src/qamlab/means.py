@@ -16,9 +16,9 @@ integral sums a contiguous last axis in the order of
 nested ``qam`` calls.  The randomized suites feed it whole batches with
 masses per case, and the witness searches build their tables with its
 ``_masked_mean``; ``lhs_mixed_mean``, ``rhs_mixed_mean`` and
-``commutation_residual`` are batches of one.  Each nested mean opens one
-``np.errstate(all="ignore")``, so an overflow or an invalid operation
-becomes the NaN of its side, never a RuntimeWarning.
+``commutation_residual`` are batches of one.  Both sides of a call run
+under one ``np.errstate(all="ignore")``, so an overflow or an invalid
+operation becomes the NaN of its side, never a RuntimeWarning.
 
 Note that without unit total mass the mean is not internal: for weights
 (1, 2) and exp, the constant function 0 has mean ln(3), not 0.  Outside
@@ -37,7 +37,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import RangeError
-from .generators import Generator, masked_eval, masked_inverse, scale
+from .generators import REAL_LINE, Generator, masked_eval, masked_inverse, scale
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .residuals import ResidualReport
 
@@ -66,7 +66,7 @@ class SimpleFunctionMatrix:
         arr = np.array(values, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("simple-function values must form a non-empty 2-D grid")
-        if not np.all(np.isfinite(arr)):
+        if not REAL_LINE.contains_all(arr):
             raise ValueError("simple-function values must be finite")
         arr.setflags(write=False)
         self._values = arr
@@ -129,14 +129,17 @@ def _masked_mean(gen: Generator, weights, values: np.ndarray) -> np.ndarray:
     """Means over the last axis; NaN where a value or the integral leaves gen.
 
     Call it under ``np.errstate(all="ignore")``: the NaN stands for the warning.
+    It sums with ``np.add.reduce``, which is what ``ndarray.sum`` calls.
     """
-    return masked_inverse(gen, (weights * masked_eval(gen, values)).sum(axis=-1))
+    return masked_inverse(gen, np.add.reduce(weights * masked_eval(gen, values), axis=-1))
 
 
 def _nested_mean(outer: Generator, inner: Generator, w_outer, w_inner, values: np.ndarray):
-    """Outer mean over axis -2 of the inner means over axis -1; NaN where either fails."""
-    with np.errstate(all="ignore"):
-        return _masked_mean(outer, w_outer, _masked_mean(inner, w_inner[..., None, :], values))
+    """Outer mean over axis -2 of the inner means over axis -1; NaN where either fails.
+
+    Call it under ``np.errstate(all="ignore")``, like ``_masked_mean``.
+    """
+    return _masked_mean(outer, w_outer, _masked_mean(inner, w_inner[..., None, :], values))
 
 
 def _transposed(values: np.ndarray) -> np.ndarray:
@@ -144,6 +147,7 @@ def _transposed(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(values, -1, -2))
 
 
+@np.errstate(all="ignore")
 def mixed_means(f: Generator, g: Generator, wx, wy, values):
     """Both partially mixed means of a batch of simple functions H[..., m, n].
 
@@ -165,13 +169,17 @@ def mixed_means(f: Generator, g: Generator, wx, wy, values):
     return _nested_mean(f, g, wx, wy, values), _nested_mean(g, f, wy, wx, _transposed(values))
 
 
-def _checked(mean, outer: Generator, inner: Generator, w_inner, values, stages) -> float:
-    """One case's side as a float; if it is NaN, the RangeError of its failed stage."""
-    if not np.isnan(mean):
-        return float(mean)
+def _checked(outer: Generator, inner: Generator, w_outer, w_inner, values, stages) -> float:
+    """One case's nested mean as a float; if it is NaN, the RangeError of its failed stage.
+
+    ``_nested_mean``'s operations: one case's 1-D weights broadcast as its
+    lifted ones do.  Call it under ``np.errstate(all="ignore")``.
+    """
+    mid = _masked_mean(inner, w_inner, values)
+    mean = float(_masked_mean(outer, w_outer, mid))
+    if mean == mean:
+        return mean
     (inner_tag, inner_text), (outer_tag, outer_text) = stages
-    with np.errstate(all="ignore"):
-        mid = _masked_mean(inner, w_inner, values)
     failed = np.flatnonzero(np.isnan(mid))
     if failed.size:
         atom = int(failed[0])
@@ -183,27 +191,32 @@ def _checked(mean, outer: Generator, inner: Generator, w_inner, values, stages) 
     raise RangeError(f"{text}: {why} of {gen.describe()}", stage=tag)
 
 
-def _case(grid: ProductGrid, h: SimpleFunctionMatrix):
+@np.errstate(all="ignore")
+def _checked_sides(*sides) -> list[float]:
+    """``_checked`` of each side in turn, under one ``np.errstate``."""
+    return [_checked(*side) for side in sides]
+
+
+def _sides(f: Generator, g: Generator, grid: ProductGrid, h: SimpleFunctionMatrix):
+    """The lhs and the rhs of one case, each as the arguments of ``_checked``."""
     if h.shape != grid.shape:
         raise ValueError(f"h has shape {h.shape}, grid expects {grid.shape}")
-    return grid.space_x.weights, grid.space_y.weights, np.ascontiguousarray(h.values)
+    wx, wy, values = grid.space_x.weights, grid.space_y.weights, np.ascontiguousarray(h.values)
+    return (f, g, wx, wy, values, _LHS_STAGES), (g, f, wy, wx, _transposed(values), _RHS_STAGES)
 
 
 def lhs_mixed_mean(
     f: Generator, g: Generator, grid: ProductGrid, h: SimpleFunctionMatrix
 ) -> float:
     """Inner g-mean over Y per X atom, then outer f-mean over X."""
-    wx, wy, values = _case(grid, h)
-    return _checked(_nested_mean(f, g, wx, wy, values), f, g, wy, values, _LHS_STAGES)
+    return _checked_sides(_sides(f, g, grid, h)[0])[0]
 
 
 def rhs_mixed_mean(
     f: Generator, g: Generator, grid: ProductGrid, h: SimpleFunctionMatrix
 ) -> float:
     """Inner f-mean over X per Y atom, then outer g-mean over Y."""
-    wx, wy, values = _case(grid, h)
-    values = _transposed(values)
-    return _checked(_nested_mean(g, f, wy, wx, values), g, f, wx, values, _RHS_STAGES)
+    return _checked_sides(_sides(f, g, grid, h)[1])[0]
 
 
 def commutation_residual(
@@ -213,7 +226,7 @@ def commutation_residual(
 
     A failure raises the stage-tagged RangeError of the lhs before the rhs.
     """
-    return ResidualReport.from_sides(lhs_mixed_mean(f, g, grid, h), rhs_mixed_mean(f, g, grid, h))
+    return ResidualReport.from_sides(*_checked_sides(*_sides(f, g, grid, h)))
 
 
 def scale_invariance_residual(

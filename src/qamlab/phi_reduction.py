@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import CodomainKind, Generator
+from .generators import POSITIVE_HALF_LINE, CodomainKind, Generator
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .means import SimpleFunctionMatrix, commutation_residual
 from .residuals import DEFAULT_ZERO_TOL, ResidualReport, _relative_residuals
@@ -152,8 +152,7 @@ def big_phi(f: Generator, g: Generator, alpha1: float, alpha2: float, x, y):
 
 def _check_positive(**kwargs) -> None:
     for name, value in kwargs.items():
-        arr = np.asarray(value, dtype=float)
-        if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
+        if not POSITIVE_HALF_LINE.contains_all(value):
             raise ValueError(f"{name} must be positive and finite")
 
 

@@ -50,6 +50,7 @@ class ResidualReport:
         }
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _relative_residuals(lhs: np.ndarray, rhs: np.ndarray,
                         out: np.ndarray | None = None) -> np.ndarray:
     """The ``ResidualReport`` rel residual of each pair of sides; NaN where a side is not finite.
@@ -57,11 +58,10 @@ def _relative_residuals(lhs: np.ndarray, rhs: np.ndarray,
     Computed in place, overwriting ``lhs`` and ``rhs``, into ``out`` when
     one is given, so that a search's batches allocate no temporaries.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        rel = np.subtract(lhs, rhs, out=out)
-        np.abs(rel, out=rel)
-        denom = np.abs(lhs, out=lhs)
-        np.maximum(denom, np.abs(rhs, out=rhs), out=denom)
-        np.maximum(denom, 1.0, out=denom)
-        rel /= denom
+    rel = np.subtract(lhs, rhs, out=out)
+    np.abs(rel, out=rel)
+    denom = np.abs(lhs, out=lhs)
+    np.maximum(denom, np.abs(rhs, out=rhs), out=denom)
+    np.maximum(denom, 1.0, out=denom)
+    rel /= denom
     return rel

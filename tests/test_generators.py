@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from qamlab import (
@@ -36,6 +37,7 @@ from qamlab import (
 from qamlab.generators import (
     _BISECT_ARRAY_MIN,
     _BISECT_MAX_ITER,
+    _RANGE_LIST_MAX,
     _bisect_array,
     _bisect_scalar,
     _interior_seed,
@@ -791,12 +793,14 @@ class TestInterval:
                         1e-300, 0.5, 1.0, -1.0, 2.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
                         np.nextafter(2.0, 3.0), 1.7e308, -1.7e308])
 
-    @pytest.mark.parametrize("iv", [
+    INTERVALS = [
         Interval(0.0, 1.0), Interval(0.0, 1.0, False, False), Interval(-1.0, 2.0, True, False),
         Interval(1.0, 2.0, False, True), Interval(0.0, math.inf), Interval(0.0, math.inf, False),
         Interval(-math.inf, 1.0), Interval(-math.inf, 1.0, upper_open=False),
-        Interval(-math.inf, math.inf), Interval(5e-324, 2.0, False, True),
-    ], ids=repr)
+        Interval(-math.inf, math.inf), Interval(5e-324, 2.0, False, True), Interval(-0.0, 0.5, False),
+    ]
+
+    @pytest.mark.parametrize("iv", INTERVALS, ids=repr)
     def test_contains_equals_the_comparisons_and_isfinite(self, iv):
         x = self.SPECIAL
         lo = (x > iv.lower) if iv.lower_open else (x >= iv.lower)
@@ -805,6 +809,33 @@ class TestInterval:
         assert np.array_equal(iv.contains(x), want)
         assert [iv.contains(v) for v in x] == want.tolist()
         assert all(type(iv.contains(v)) is bool for v in x)
+
+    # 0-d, empty, and both sides of the switch from Python floats to reductions
+    SHAPES = [(), (0,), (0, 4), (1,), (6,), (2, 3), (_RANGE_LIST_MAX,), (_RANGE_LIST_MAX + 1,),
+              (3, _RANGE_LIST_MAX)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(iv=st.sampled_from(INTERVALS), shape=st.sampled_from(SHAPES), data=st.data())
+    def test_contains_all_equals_contains_reduced(self, iv, shape, data):
+        # the interval's own ends, and a point inside, as often as anything else
+        ends = [iv.lower, iv.upper, np.nextafter(iv.lower, 0.0), np.nextafter(iv.upper, 0.0),
+                iv.sample_points(3)[1]]
+        x = data.draw(arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from(ends), st.sampled_from([*self.SPECIAL, -0.0]), st.floats())))
+        want = bool(np.asarray(iv.contains(x)).all())
+        assert iv.contains_all(x) is want
+        assert iv.contains_all(x.tolist()) is want
+
+    @pytest.mark.parametrize("n", [_RANGE_LIST_MAX, _RANGE_LIST_MAX + 1])
+    def test_contains_all_rejects_one_outside_element(self, n):
+        iv = Interval(0.0, 1.0, True, False)
+        inside = np.linspace(0.5, 1.0, n)
+        assert iv.contains_all(inside)
+        for bad in (0.0, -0.0, math.nan, math.inf, -math.inf, np.nextafter(1.0, 2.0)):
+            for at in (0, n // 2, n - 1):
+                x = inside.copy()
+                x[at] = bad
+                assert not iv.contains_all(x)
 
     def test_sample_points_stay_inside(self):
         for iv in (Interval(-math.inf, math.inf), Interval(0.0, math.inf), Interval(1.0, 4.0)):
