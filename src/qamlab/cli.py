@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .errors import DomainError, RangeError
-from .generators import generator_from_json
+from .generators import POSITIVE_HALF_LINE, generator_from_json
 from .means import SimpleFunctionMatrix, commutation_residual
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .phi_reduction import run_diagnostics
@@ -58,8 +58,8 @@ def _inputs(args: argparse.Namespace, *names: str) -> list:
 
 
 def _tolerance(args: argparse.Namespace) -> float:
-    if not args.tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not POSITIVE_HALF_LINE.contains_all(args.tol):
+        raise ValueError(f"tolerance must be a finite positive real, got {args.tol}")
     return args.tol
 
 

@@ -196,9 +196,11 @@ class MeanSetting(Enum):
 class Generator(ABC):
     """A strictly monotone continuous function with a computable inverse.
 
-    Subclasses set ``domain``, ``codomain`` (the exact range interval),
-    and ``increasing``, and implement ``_eval_raw``.  ``_inverse_raw``
-    defaults to a bracketed regula falsi against ``_eval_raw`` (see
+    Subclasses set ``domain``, ``codomain`` (the exact range interval) and
+    ``increasing``, on the class or the instance, and implement
+    ``_eval_raw``, ``describe`` and ``to_json``; catalog families inherit
+    the last two from ``_Family``.  ``_inverse_raw`` defaults to a
+    bracketed regula falsi against ``_eval_raw`` (see
     ``_bisect_inverse``), returning the midpoint of a bracket at most
     1e-12 * max(1, |x|) wide, across the whole array from
     ``_BISECT_ARRAY_MIN`` elements and per element below that, where the
@@ -535,17 +537,55 @@ def _bisect_array(gen: Generator, y: np.ndarray) -> np.ndarray:
 # Catalog families
 # ---------------------------------------------------------------------------
 
-class ExpGenerator(Generator):
+class _Family(Generator):
+    """A catalog family, ``{"family": family}`` in documents; this base has no parameter."""
+
+    family: str
+
+    def describe(self) -> str:
+        return self.family
+
+    def to_json(self) -> dict:
+        return {"family": self.family}
+
+    @classmethod
+    def _from_json(cls, doc: dict) -> Generator:
+        return cls()
+
+
+class _OneParam(_Family):
+    """A family with one finite nonzero parameter, whose sign sets ``increasing``."""
+
+    # its name, its name in messages, and its value in a document that omits it
+    param: str
+    noun: str
+    default: float | None = None
+
+    def __init__(self, value: float):
+        value = float(value)
+        if value == 0.0 or not math.isfinite(value):
+            raise ValueError(f"{self.family} generator requires a finite nonzero {self.noun} {self.param}")
+        setattr(self, self.param, value)
+        self.increasing = value > 0
+
+    def describe(self) -> str:
+        return f"{self.family}({self.param}={getattr(self, self.param):g})"
+
+    def to_json(self) -> dict:
+        return {"family": self.family, self.param: getattr(self, self.param)}
+
+    @classmethod
+    def _from_json(cls, doc: dict) -> Generator:
+        if cls.default is None and cls.param not in doc:
+            raise ValueError(f"{cls.family} generator document requires an {cls.noun} '{cls.param}'")
+        return cls(doc.get(cls.param, cls.default))
+
+
+class ExpGenerator(_OneParam):
     """x -> exp(k*x) on the real line, k != 0; bijection onto (0, inf)."""
 
-    def __init__(self, k: float):
-        k = float(k)
-        if k == 0.0 or not math.isfinite(k):
-            raise ValueError("exp generator requires a finite nonzero rate k")
-        self.k = k
-        self.domain = REAL_LINE
-        self.codomain = POSITIVE_HALF_LINE
-        self.increasing = k > 0
+    family, param, noun, default = "exp", "k", "rate", 1.0
+    domain, codomain = REAL_LINE, POSITIVE_HALF_LINE
 
     def _eval_raw(self, x):
         return np.exp(self.k * x)
@@ -553,24 +593,12 @@ class ExpGenerator(Generator):
     def _inverse_raw(self, y, out=None):
         return np.divide(np.log(y, out=out), self.k, out=out)
 
-    def describe(self) -> str:
-        return f"exp(k={self.k:g})"
 
-    def to_json(self) -> dict:
-        return {"family": "exp", "k": self.k}
-
-
-class PowerGenerator(Generator):
+class PowerGenerator(_OneParam):
     """x -> x**p on (0, inf), p != 0; bijection onto (0, inf)."""
 
-    def __init__(self, p: float):
-        p = float(p)
-        if p == 0.0 or not math.isfinite(p):
-            raise ValueError("power generator requires a finite nonzero exponent p")
-        self.p = p
-        self.domain = POSITIVE_HALF_LINE
-        self.codomain = POSITIVE_HALF_LINE
-        self.increasing = p > 0
+    family, param, noun = "power", "p", "exponent"
+    domain, codomain = POSITIVE_HALF_LINE, POSITIVE_HALF_LINE
 
     def _eval_raw(self, x):
         return np.power(x, self.p)
@@ -578,20 +606,11 @@ class PowerGenerator(Generator):
     def _inverse_raw(self, y, out=None):
         return np.power(y, 1.0 / self.p, out=out)
 
-    def describe(self) -> str:
-        return f"power(p={self.p:g})"
 
-    def to_json(self) -> dict:
-        return {"family": "power", "p": self.p}
-
-
-class IdentityGenerator(Generator):
+class IdentityGenerator(_Family):
     """x -> x on the real line."""
 
-    def __init__(self):
-        self.domain = REAL_LINE
-        self.codomain = REAL_LINE
-        self.increasing = True
+    family, domain, codomain, increasing = "identity", REAL_LINE, REAL_LINE, True
 
     def _eval_raw(self, x):
         return np.asarray(x, dtype=float) + 0.0
@@ -599,20 +618,11 @@ class IdentityGenerator(Generator):
     def _inverse_raw(self, y, out=None):
         return np.add(y, 0.0, out=out)
 
-    def describe(self) -> str:
-        return "identity"
 
-    def to_json(self) -> dict:
-        return {"family": "identity"}
-
-
-class LogGenerator(Generator):
+class LogGenerator(_Family):
     """x -> ln(x) on (0, inf); bijection onto the real line."""
 
-    def __init__(self):
-        self.domain = POSITIVE_HALF_LINE
-        self.codomain = REAL_LINE
-        self.increasing = True
+    family, domain, codomain, increasing = "log", POSITIVE_HALF_LINE, REAL_LINE, True
 
     def _eval_raw(self, x):
         return np.log(x)
@@ -620,11 +630,8 @@ class LogGenerator(Generator):
     def _inverse_raw(self, y, out=None):
         return np.exp(y, out=out)
 
-    def describe(self) -> str:
-        return "log"
 
-    def to_json(self) -> dict:
-        return {"family": "log"}
+_FAMILIES = {cls.family: cls for cls in (ExpGenerator, PowerGenerator, IdentityGenerator, LogGenerator)}
 
 
 # ---------------------------------------------------------------------------
@@ -800,18 +807,10 @@ def generator_from_json(doc: dict) -> Generator:
     if not isinstance(doc, dict) or "family" not in doc:
         raise ValueError("generator document must be an object with a 'family' key")
     family = doc["family"]
-    if family == "exp":
-        gen: Generator = ExpGenerator(doc.get("k", 1.0))
-    elif family == "power":
-        if "p" not in doc:
-            raise ValueError("power generator document requires an exponent 'p'")
-        gen = PowerGenerator(doc["p"])
-    elif family == "identity":
-        gen = IdentityGenerator()
-    elif family == "log":
-        gen = LogGenerator()
-    else:
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None  # a list is no dict key
+    if cls is None:
         raise ValueError(f"unknown generator family: {family!r}")
+    gen = cls._from_json(doc)
     if "scale" in doc:
         gen = ScaledGenerator(doc["scale"], gen)
     if "affine" in doc:

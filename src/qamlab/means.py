@@ -170,16 +170,16 @@ def mixed_means(f: Generator, g: Generator, wx, wy, values):
 
 
 def _checked(outer: Generator, inner: Generator, w_outer, w_inner, values, stages) -> float:
-    """One case's nested mean as a float; if it is NaN, the RangeError of its failed stage.
+    """One case's ``_nested_mean`` as a float; if it is NaN, the RangeError of its failed stage.
 
-    ``_nested_mean``'s operations: one case's 1-D weights broadcast as its
-    lifted ones do.  Call it under ``np.errstate(all="ignore")``.
+    Only a NaN side computes its inner means again, to name the stage.
+    Call it under ``np.errstate(all="ignore")``.
     """
-    mid = _masked_mean(inner, w_inner, values)
-    mean = float(_masked_mean(outer, w_outer, mid))
+    mean = float(_nested_mean(outer, inner, w_outer, w_inner, values))
     if mean == mean:
         return mean
     (inner_tag, inner_text), (outer_tag, outer_text) = stages
+    mid = _masked_mean(inner, w_inner, values)
     failed = np.flatnonzero(np.isnan(mid))
     if failed.size:
         atom = int(failed[0])

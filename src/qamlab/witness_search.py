@@ -46,7 +46,7 @@ from enum import Enum
 
 import numpy as np
 
-from .generators import Generator, masked_eval, masked_inverse
+from .generators import POSITIVE_HALF_LINE, Generator, masked_eval, masked_inverse
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .means import SimpleFunctionMatrix, _masked_mean, commutation_residual, mixed_means
 from .residuals import ResidualReport, _relative_residuals
@@ -258,7 +258,7 @@ def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness 
 
     The winner is reported through ``commutation_residual``.
     """
-    if not (math.isfinite(threshold) and threshold > 0.0):
+    if not POSITIVE_HALF_LINE.contains_all(threshold):
         raise ValueError(f"threshold must be a finite positive real, got {threshold}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

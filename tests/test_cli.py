@@ -177,9 +177,9 @@ class TestWitness:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("threshold", ["nan", "0"])
+    @pytest.mark.parametrize("threshold", ["nan", "0", "inf"])
     def test_bad_threshold_is_malformed_input(self, docs, capsys, threshold):
-        # nan would hide every witness, 0 would report rounding noise as one
+        # nan or inf would hide every witness, 0 would report rounding noise as one
         code = main(
             ["witness", "--f", docs["exp1"], "--g", docs["exp2"],
              "--space-x", docs["unit2"], "--space-y", docs["unit2"],
@@ -288,7 +288,7 @@ class TestOptionsByCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["0", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
     @pytest.mark.parametrize("command", ["check", "suite", "phi"])
     def test_non_positive_tolerance_is_malformed_input(self, docs, capsys, command, tol):
         argv = {

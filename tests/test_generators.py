@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -773,6 +774,67 @@ class TestJsonParsing:
     def test_power_requires_exponent(self):
         with pytest.raises(ValueError):
             generator_from_json({"family": "power"})
+
+
+_R, _POS = Interval(-math.inf, math.inf), Interval(0.0, math.inf)
+
+
+class TestCatalogSurface:
+    """What the catalog shows of itself: descriptions, documents, reprs, ranges, messages."""
+
+    # (document, describe(), to_json(), increasing, domain, codomain)
+    VALID = [
+        ({"family": "exp", "k": -2.0}, "exp(k=-2)", {"family": "exp", "k": -2.0}, False, _R, _POS),
+        ({"family": "power", "p": -1.0}, "power(p=-1)", {"family": "power", "p": -1.0}, False,
+         _POS, _POS),
+        ({"family": "identity"}, "identity", {"family": "identity"}, True, _R, _R),
+        ({"family": "log"}, "log", {"family": "log"}, True, _POS, _R),
+        ({"family": "power", "p": 0.5, "scale": 3.0}, "3*power(p=0.5)",
+         {"family": "power", "p": 0.5, "scale": 3.0}, True, _POS, _POS),
+        ({"family": "log", "affine": {"a": -2.0, "b": 0.5}}, "-2*log+0.5",
+         {"family": "log", "affine": {"a": -2.0, "b": 0.5}}, False, _POS, _R),
+        ({"family": "exp", "k": 1.0, "scale": 2.0, "affine": {"a": 3.0, "b": -1.0}},
+         "3*2*exp(k=1)-1", {"family": "exp", "k": 1.0, "scale": 2.0, "affine": {"a": 3.0, "b": -1.0}},
+         True, _R, Interval(-1.0, math.inf)),
+        ({"family": "exp"}, "exp(k=1)", {"family": "exp", "k": 1.0}, True, _R, _POS),
+        ({"family": "identity", "k": 3}, "identity", {"family": "identity"}, True, _R, _R),
+    ]
+
+    @pytest.mark.parametrize("doc, text, back, increasing, domain, codomain", VALID,
+                             ids=[repr(v[0]) for v in VALID])
+    def test_valid_document(self, doc, text, back, increasing, domain, codomain):
+        gen = generator_from_json(doc)
+        assert gen.describe() == text
+        out = gen.to_json()
+        # key order too: the CLI writes documents sorted, but a caller may not
+        assert json.dumps(out) == json.dumps(back)
+        assert repr(gen) == f"<Generator {text}>"
+        assert gen.increasing is increasing
+        assert (gen.domain, gen.codomain) == (domain, codomain)
+
+    INVALID = [
+        (lambda: generator_from_json({"family": ["exp"]}), ValueError,
+         "unknown generator family: ['exp']"),
+        (lambda: generator_from_json({"family": None}), ValueError, "unknown generator family: None"),
+        (lambda: generator_from_json({"family": "power"}), ValueError,
+         "power generator document requires an exponent 'p'"),
+        (lambda: generator_from_json({"family": "exp", "k": 0}), ValueError,
+         "exp generator requires a finite nonzero rate k"),
+        (lambda: generator_from_json({"family": "exp", "k": None}), TypeError,
+         "float() argument must be a string or a real number, not 'NoneType'"),
+        (lambda: ExpGenerator(0), ValueError, "exp generator requires a finite nonzero rate k"),
+        (lambda: PowerGenerator(math.nan), ValueError,
+         "power generator requires a finite nonzero exponent p"),
+    ]
+
+    @pytest.mark.parametrize("build, exc, message", INVALID,
+                             ids=["family-list", "family-null", "power-no-p", "exp-k-0", "exp-k-null",
+                                  "ExpGenerator(0)", "PowerGenerator(nan)"])
+    def test_invalid_input(self, build, exc, message):
+        with pytest.raises(exc) as info:
+            build()
+        assert type(info.value) is exc
+        assert str(info.value) == message
 
 
 class TestInterval:
