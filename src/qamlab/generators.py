@@ -17,19 +17,10 @@ Families: ``ExpGenerator(k)`` (x -> exp(k x) on R), ``PowerGenerator(p)``
 Exponents/powers of either sign give both monotone directions.
 
 Evaluation and inversion accept scalars or numpy arrays.  Families with a
-closed-form inverse use it; anything else falls back to a bracketed
-search (geometric bracket expansion from an interior seed, then a
-safeguarded regula falsi on log f or f; 200 iteration cap, 1e-12 relative
-tolerance), which converges unconditionally for strictly monotone
-functions in at most one step more than bisection of the same bracket,
-and lands exp(kx) in one or two.  The bracket sequence does not depend on
-the target, so each generator walks it once, as far as its targets need,
-and keeps it: a generator's ``domain``, ``codomain`` and ``_eval_raw``
-must not change after its first inversion.  An array is inverted in one
-masked loop in which every element takes the per-element routine's
-steps: the results are the same bit for bit.  The loop's fixed cost per
-call is about fifty elements' worth of the per-element routine, so
-arrays below ``_BISECT_ARRAY_MIN`` elements stay per element.
+closed-form inverse use it; anything else falls back to the bracketed
+regula falsi of ``_bisect_inverse``, which keeps its bracket walk on the
+generator: a generator's ``domain``, ``codomain`` and ``_eval_raw`` must
+not change after its first inversion.
 """
 
 from __future__ import annotations
@@ -42,7 +33,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .residuals import _relative_residuals
+from .measure_space import _json_floats
+from .residuals import DEFAULT_ZERO_TOL, _relative_residuals
 
 __all__ = [
     "Interval",
@@ -199,17 +191,13 @@ class Generator(ABC):
     Subclasses set ``domain``, ``codomain`` (the exact range interval) and
     ``increasing``, on the class or the instance, and implement
     ``_eval_raw``, ``describe`` and ``to_json``; catalog families inherit
-    the last two from ``_Family``.  ``_inverse_raw`` defaults to a
-    bracketed regula falsi against ``_eval_raw`` (see
-    ``_bisect_inverse``), returning the midpoint of a bracket at most
-    1e-12 * max(1, |x|) wide, across the whole array from
-    ``_BISECT_ARRAY_MIN`` elements and per element below that, where the
-    array loop's fixed cost would dominate; subclasses override it when a
-    closed form exists.  The default keeps its bracket walk on the
-    generator (see ``_walk``), so ``domain``, ``codomain`` and
-    ``_eval_raw`` must not change after the first inversion.  It needs
-    ``_eval_raw`` to act elementwise and to give a 0-d input the same bits
-    as the same element of an array, so that both paths agree bit for
+    the last two from ``_Family``.  ``_inverse_raw`` defaults to the
+    bracketed regula falsi of ``_bisect_inverse``; subclasses override it
+    when a closed form exists.  The default keeps its bracket walk on the
+    generator, so ``domain``, ``codomain`` and ``_eval_raw`` must not
+    change after the first inversion.  It needs ``_eval_raw`` to act
+    elementwise and to give a 0-d input the same bits as the same element
+    of an array, so that its array and per-element paths agree bit for
     bit: numpy ufunc calls such as ``np.exp(k * x)`` or ``np.power(x,
     3.0)`` do, the ``**`` operator does not (``x**3`` differs between 0-d
     and array input in the last bit on a few percent of values).
@@ -324,14 +312,22 @@ def _bisect_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
     """Invert a strictly monotone generator elementwise: bracket, then regula falsi.
 
     Each target is placed in the first piece of ``_walk`` that straddles
-    it and refined by the safeguarded regula falsi of ``_falsi_scalar``
-    until the bracket is at most 1e-12 * max(1, |midpoint|) wide, and the
-    midpoint is returned.  Arrays of ``_BISECT_ARRAY_MIN`` elements or more
-    run ``_bisect_array``, smaller ones ``_bisect_elements``; the results
-    are the same bit for bit.  Both evaluate with overflow, division by
-    zero and invalid operations ignored: an end value that overflows to an
-    infinity or underflows to 0 still compares correctly with the target,
-    and its residual (log 0, inf - inf) sends the step to the midpoint.
+    it, from brackets grown geometrically out of an interior seed, and
+    refined by the safeguarded regula falsi of ``_falsi_scalar`` on log f
+    (positive range) or f until the bracket is at most ``_BISECT_REL_TOL``
+    * max(1, |midpoint|) wide, and the midpoint is returned.  That takes
+    at most one step more than bisection of the same bracket for any
+    strictly monotone function, and one or two for exp(kx); each loop stops
+    after ``_BISECT_MAX_ITER`` steps.  The walk does not depend on the
+    target, so each generator makes it once and keeps it.  Arrays of
+    ``_BISECT_ARRAY_MIN`` elements or more run ``_bisect_array``, one
+    masked loop whose fixed cost per call is about fifty elements' worth
+    of the per-element routine; smaller ones run ``_bisect_elements``.
+    The results are the same bit for bit.  Both evaluate with overflow,
+    division by zero and invalid operations ignored: an end value that
+    overflows to an infinity or underflows to 0 still compares correctly
+    with the target, and its residual (log 0, inf - inf) sends the step to
+    the midpoint.
     """
     if y.size < _BISECT_ARRAY_MIN:
         flat = np.array(_bisect_elements(gen, y.ravel().tolist()))
@@ -563,7 +559,7 @@ class _OneParam(_Family):
 
     def __init__(self, value: float):
         value = float(value)
-        if value == 0.0 or not math.isfinite(value):
+        if value == 0.0 or not REAL_LINE.contains_all(value):
             raise ValueError(f"{self.family} generator requires a finite nonzero {self.noun} {self.param}")
         setattr(self, self.param, value)
         self.increasing = value > 0
@@ -578,7 +574,7 @@ class _OneParam(_Family):
     def _from_json(cls, doc: dict) -> Generator:
         if cls.default is None and cls.param not in doc:
             raise ValueError(f"{cls.family} generator document requires an {cls.noun} '{cls.param}'")
-        return cls(doc.get(cls.param, cls.default))
+        return cls(_json_floats(doc.get(cls.param, cls.default), cls.param))
 
 
 class ExpGenerator(_OneParam):
@@ -658,7 +654,7 @@ class AffineGenerator(Generator):
 
     def __init__(self, a: float, b: float, inner: Generator):
         a, b = float(a), float(b)
-        if a == 0.0 or not math.isfinite(a) or not math.isfinite(b):
+        if a == 0.0 or not REAL_LINE.contains_all((a, b)):
             raise ValueError("affine wrapper requires finite a != 0 and finite b")
         self.a = a
         self.b = b
@@ -689,8 +685,7 @@ class ScaledGenerator(AffineGenerator):
     """c * inner(x) with c > 0: affine with b = 0; keeps a positive-bijection range."""
 
     def __init__(self, c: float, inner: Generator):
-        c = float(c)
-        if not (c > 0.0) or not math.isfinite(c):
+        if not POSITIVE_HALF_LINE.contains_all(c):
             raise ValueError("scale factor must be a finite positive real")
         super().__init__(c, 0.0, inner)
 
@@ -739,19 +734,22 @@ def validate_for_setting(gen: Generator, setting: MeanSetting) -> bool:
     raise ValueError(f"unknown setting: {setting!r}")
 
 
-def _common_samples(f: Generator, g: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """f and g on the sample grid of their common domain."""
+def _common_domain(f: Generator, g: Generator) -> Interval:
+    """The interval that f's and g's domains share."""
     common = f.domain.intersection(g.domain)
     if common is None:
-        raise ValueError(
-            f"domain mismatch: {f.describe()} and {g.describe()} share no interval"
-        )
-    xs = common.sample_points(_SAMPLE_COUNT)
+        raise ValueError(f"domain mismatch: {f.describe()} and {g.describe()} share no interval")
+    return common
+
+
+def _common_samples(f: Generator, g: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """f and g on the sample grid of their common domain."""
+    xs = _common_domain(f, g).sample_points(_SAMPLE_COUNT)
     return f.eval(xs), g.eval(xs)
 
 
 def is_proportional(
-    f: Generator, g: Generator, tol: float = 1e-8
+    f: Generator, g: Generator, tol: float = DEFAULT_ZERO_TOL
 ) -> float | None:
     """Return c > 0 with f = c * g on a shared sample grid, or None.
 
@@ -763,7 +761,7 @@ def is_proportional(
     if gv[anchor] == 0.0:
         return None
     c = fv[anchor] / gv[anchor]
-    if not math.isfinite(c) or c <= 0.0:
+    if not POSITIVE_HALF_LINE.contains_all(c):
         return None
     if np.all(_relative_residuals(fv, c * gv) <= tol):
         return float(c)
@@ -771,7 +769,7 @@ def is_proportional(
 
 
 def is_affine_equivalent(
-    f: Generator, g: Generator, tol: float = 1e-8
+    f: Generator, g: Generator, tol: float = DEFAULT_ZERO_TOL
 ) -> tuple[float, float] | None:
     """Return (a, b) with f = a * g + b on a shared sample grid, or None.
 
@@ -784,7 +782,7 @@ def is_affine_equivalent(
     if denom == 0.0:
         return None
     a = (fv[-1] - fv[0]) / denom
-    if not math.isfinite(a) or a == 0.0:
+    if a == 0.0 or not REAL_LINE.contains_all(a):
         return None
     b = fv[0] - a * gv[0]
     if np.all(_relative_residuals(fv, a * gv + b) <= tol):
@@ -812,10 +810,11 @@ def generator_from_json(doc: dict) -> Generator:
         raise ValueError(f"unknown generator family: {family!r}")
     gen = cls._from_json(doc)
     if "scale" in doc:
-        gen = ScaledGenerator(doc["scale"], gen)
+        gen = ScaledGenerator(_json_floats(doc["scale"], "scale"), gen)
     if "affine" in doc:
         aff = doc["affine"]
         if not isinstance(aff, dict) or "a" not in aff or "b" not in aff:
             raise ValueError("affine wrapper must be an object with 'a' and 'b'")
-        gen = AffineGenerator(aff["a"], aff["b"], gen)
+        gen = AffineGenerator(_json_floats(aff["a"], "affine a"), _json_floats(aff["b"], "affine b"),
+                              gen)
     return gen

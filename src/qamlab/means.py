@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import RangeError
 from .generators import REAL_LINE, Generator, masked_eval, masked_inverse, scale
-from .measure_space import DiscreteMeasureSpace, ProductGrid
+from .measure_space import DiscreteMeasureSpace, ProductGrid, _json_floats
 from .residuals import ResidualReport
 
 __all__ = [
@@ -93,7 +93,7 @@ class SimpleFunctionMatrix:
         """Build from ``{"values": [[...], ...]}`` (rows = X atoms)."""
         if not isinstance(doc, dict) or "values" not in doc:
             raise ValueError("h document must be an object with a 'values' key")
-        return cls(doc["values"])
+        return cls(_json_floats(doc["values"], "values", True))
 
     def to_json(self) -> dict:
         return {"values": self._values.tolist()}
@@ -116,13 +116,6 @@ def qam(gen: Generator, space: DiscreteMeasureSpace, values: Sequence[float]) ->
     transformed = gen.eval(values)
     integral = space.integrate(transformed)
     return gen.inverse(integral)
-
-
-# (tag, message) of a side's inner and outer failure
-_LHS_STAGES = (("inner-Y", "inner mean over Y failed at X atom {}"),
-               ("outer-X", "outer mean over X failed"))
-_RHS_STAGES = (("inner-X", "inner mean over X failed at Y atom {}"),
-               ("outer-Y", "outer mean over Y failed"))
 
 
 def _masked_mean(gen: Generator, weights, values: np.ndarray) -> np.ndarray:
@@ -169,54 +162,60 @@ def mixed_means(f: Generator, g: Generator, wx, wy, values):
     return _nested_mean(f, g, wx, wy, values), _nested_mean(g, f, wy, wx, _transposed(values))
 
 
-def _checked(outer: Generator, inner: Generator, w_outer, w_inner, values, stages) -> float:
-    """One case's ``_nested_mean`` as a float; if it is NaN, the RangeError of its failed stage.
-
-    Only a NaN side computes its inner means again, to name the stage.
-    Call it under ``np.errstate(all="ignore")``.
-    """
-    mean = float(_nested_mean(outer, inner, w_outer, w_inner, values))
-    if mean == mean:
-        return mean
-    (inner_tag, inner_text), (outer_tag, outer_text) = stages
-    mid = _masked_mean(inner, w_inner, values)
-    failed = np.flatnonzero(np.isnan(mid))
-    if failed.size:
-        atom = int(failed[0])
-        gen, args, tag, text = inner, values[atom], inner_tag, inner_text.format(atom)
-    else:
-        gen, args, tag, text = outer, mid, outer_tag, outer_text
-    why = "value outside the range" if gen.domain.contains_all(args) else \
-        "argument outside the domain"
-    raise RangeError(f"{text}: {why} of {gen.describe()}", stage=tag)
+# per side, the lhs then the rhs: (tag, message) of its inner and of its outer failure
+_STAGES = ((("inner-Y", "inner mean over Y failed at X atom {}"), ("outer-X", "outer mean over X failed")),
+           (("inner-X", "inner mean over X failed at Y atom {}"), ("outer-Y", "outer mean over Y failed")))
 
 
 @np.errstate(all="ignore")
-def _checked_sides(*sides) -> list[float]:
-    """``_checked`` of each side in turn, under one ``np.errstate``."""
-    return [_checked(*side) for side in sides]
+def _case_sides(f: Generator, g: Generator, wx, wy, values, sides=(0, 1)) -> list[float]:
+    """The sides of one case H[m, n] named in ``sides`` (0 the lhs, 1 the rhs), as floats.
+
+    Each is ``mixed_means``' nested mean of the case.  The first NaN side
+    in ``sides`` computes its inner means again, to name its failed stage,
+    and raises that stage's RangeError.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    means = []
+    for side in sides:
+        outer, inner, w_outer, w_inner, vals = (f, g, wx, wy, values) if side == 0 else \
+            (g, f, wy, wx, _transposed(values))
+        mean = float(_nested_mean(outer, inner, w_outer, w_inner, vals))
+        if mean != mean:
+            (inner_tag, inner_text), (outer_tag, outer_text) = _STAGES[side]
+            mid = _masked_mean(inner, w_inner, vals)
+            failed = np.flatnonzero(np.isnan(mid))
+            if failed.size:
+                atom = int(failed[0])
+                gen, args, tag, text = inner, vals[atom], inner_tag, inner_text.format(atom)
+            else:
+                gen, args, tag, text = outer, mid, outer_tag, outer_text
+            why = "value outside the range" if gen.domain.contains_all(args) else \
+                "argument outside the domain"
+            raise RangeError(f"{text}: {why} of {gen.describe()}", stage=tag)
+        means.append(mean)
+    return means
 
 
-def _sides(f: Generator, g: Generator, grid: ProductGrid, h: SimpleFunctionMatrix):
-    """The lhs and the rhs of one case, each as the arguments of ``_checked``."""
+def _case(grid: ProductGrid, h: SimpleFunctionMatrix):
+    """``(wx, wy, values)`` of one case, whose h must have the grid's shape."""
     if h.shape != grid.shape:
         raise ValueError(f"h has shape {h.shape}, grid expects {grid.shape}")
-    wx, wy, values = grid.space_x.weights, grid.space_y.weights, np.ascontiguousarray(h.values)
-    return (f, g, wx, wy, values, _LHS_STAGES), (g, f, wy, wx, _transposed(values), _RHS_STAGES)
+    return grid.space_x.weights, grid.space_y.weights, h.values
 
 
 def lhs_mixed_mean(
     f: Generator, g: Generator, grid: ProductGrid, h: SimpleFunctionMatrix
 ) -> float:
     """Inner g-mean over Y per X atom, then outer f-mean over X."""
-    return _checked_sides(_sides(f, g, grid, h)[0])[0]
+    return _case_sides(f, g, *_case(grid, h), (0,))[0]
 
 
 def rhs_mixed_mean(
     f: Generator, g: Generator, grid: ProductGrid, h: SimpleFunctionMatrix
 ) -> float:
     """Inner f-mean over X per Y atom, then outer g-mean over Y."""
-    return _checked_sides(_sides(f, g, grid, h)[1])[0]
+    return _case_sides(f, g, *_case(grid, h), (1,))[0]
 
 
 def commutation_residual(
@@ -226,7 +225,7 @@ def commutation_residual(
 
     A failure raises the stage-tagged RangeError of the lhs before the rhs.
     """
-    return ResidualReport.from_sides(*_checked_sides(*_sides(f, g, grid, h)))
+    return ResidualReport.from_sides(*_case_sides(f, g, *_case(grid, h)))
 
 
 def scale_invariance_residual(

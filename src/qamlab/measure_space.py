@@ -15,6 +15,27 @@ import numpy as np
 __all__ = ["DiscreteMeasureSpace", "ProductGrid"]
 
 
+def _json_floats(value, name: str, nested: bool = False):
+    """A document's number as a float; with ``nested``, its lists of numbers as lists of floats.
+
+    Every document reader takes its numbers through here.  A number is a
+    JSON int or float, not a bool, that fits a float; anything else, such
+    as "2" or true, which ``float`` would take for a number, or an integer
+    too large for a float, is a ValueError that names the field.
+    """
+    if nested and isinstance(value, list):
+        return [_json_floats(v, name, True) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    what = "hold only JSON numbers" if nested else "be a JSON number"
+    text = repr(value)
+    text = text if len(text) <= 40 else f"{text[:36]} ..."
+    raise ValueError(f"{name} must {what} within the float range, got {text}")
+
+
 class DiscreteMeasureSpace:
     """A finite measure space given by positively weighted atoms.
 
@@ -97,7 +118,11 @@ class DiscreteMeasureSpace:
         """Build from ``{"weights": [...], "labels": [...]}``; labels optional."""
         if not isinstance(doc, dict) or "weights" not in doc:
             raise ValueError("space document must be an object with a 'weights' key")
-        return cls(doc["weights"], doc.get("labels"))
+        labels = doc.get("labels")
+        if labels is not None and not (isinstance(labels, list) and
+                                       all(isinstance(lab, str) for lab in labels)):
+            raise ValueError("labels must be a list of strings")
+        return cls(_json_floats(doc["weights"], "weights", True), labels)
 
     def to_json(self) -> dict:
         return {"weights": self._weights.tolist(), "labels": list(self._labels)}

@@ -28,7 +28,6 @@ domain.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -370,7 +369,7 @@ def proportionality_extract(
     phi_vals = np.asarray(phi_eval(f, g, ss))
     ratios = phi_vals / ss
     c = float(np.median(ratios))
-    if not math.isfinite(c) or c <= 0.0:
+    if not POSITIVE_HALF_LINE.contains_all(c):
         return None
     # before the ratio test overwrites phi_vals
     parts = phi_vals[:-1] + phi_vals[1:]

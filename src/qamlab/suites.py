@@ -34,8 +34,7 @@ from .generators import (
     affine,
     scale,
 )
-from .means import SimpleFunctionMatrix, commutation_residual, mixed_means
-from .measure_space import DiscreteMeasureSpace, ProductGrid
+from .means import _case_sides, mixed_means
 from .residuals import DEFAULT_ZERO_TOL, _relative_residuals
 
 __all__ = ["SuiteResult", "run_finite_measure_suite", "run_probability_suite"]
@@ -141,10 +140,8 @@ def _run_cases(
         lhs[order], rhs[order] = mixed_means(f, g, wx, wy, values)
     failed = np.flatnonzero(np.isnan(lhs) | np.isnan(rhs))
     if failed.size:
-        # the scalar path raises the stage-tagged error of the first failing case
-        f, g, wx, wy, values = cases[failed[0]]
-        grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
-        commutation_residual(f, g, grid, SimpleFunctionMatrix(values))
+        # the stage-tagged error of the first failing case, on its own arrays
+        _case_sides(*cases[failed[0]])
 
     # the ``ResidualReport`` rule, on every case at once
     abs_res = np.abs(lhs - rhs).tolist()

@@ -46,7 +46,7 @@ from enum import Enum
 
 import numpy as np
 
-from .generators import POSITIVE_HALF_LINE, Generator, masked_eval, masked_inverse
+from .generators import POSITIVE_HALF_LINE, REAL_LINE, Generator, _common_domain, masked_eval, masked_inverse
 from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .means import SimpleFunctionMatrix, _masked_mean, commutation_residual, mixed_means
 from .residuals import ResidualReport, _relative_residuals
@@ -96,7 +96,7 @@ class GridSpec:
         lo, hi = self.value_range
         if self.points_per_axis < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        if not (REAL_LINE.contains_all((lo, hi)) and lo < hi):
             raise ValueError("grid range must be a finite interval with lo < hi")
         if self.spacing is Spacing.GEOMETRIC and not lo > 0.0:
             raise ValueError("geometric spacing needs a strictly positive range")
@@ -279,15 +279,13 @@ def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness 
             results.append((float(rel[local]), start + local, int(np.count_nonzero(skipped))))
         return results
 
-    # one contiguous run of batches per worker, at most one per CPU; one run
-    # stays in this thread, so that an interrupt stops it
+    # one contiguous run of batches per worker, at most one per CPU; this
+    # thread runs the first, a pool the rest (a pool given none starts no thread)
     parts = [p for p in np.array_split(np.arange(0, total, batch),
                                        min(workers, os.cpu_count() or 1)) if p.size]
-    if len(parts) == 1:
-        results = [chunk(parts[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            results = list(pool.map(chunk, parts))
+    with ThreadPoolExecutor(max_workers=max(1, len(parts) - 1)) as pool:
+        rest = pool.map(chunk, parts[1:])
+        results = [chunk(parts[0]), *rest]
     # batches in index order: a strict > keeps the smallest index of a tie
     best_val, best_idx, skipped = -math.inf, None, 0
     for val, idx, skip in itertools.chain.from_iterable(results):
@@ -404,9 +402,7 @@ def refine_witness(
     grid = ProductGrid(DiscreteMeasureSpace(wx), DiscreteMeasureSpace(wy))
     wx, wy = grid.space_x.weights, grid.space_y.weights
     coords = np.array(start.values, dtype=float).ravel()
-    common = f.domain.intersection(g.domain)
-    if common is None:
-        raise ValueError("generators share no domain interval")
+    common = _common_domain(f, g)
     best_rel = start.report.rel_residual
     improved = False
 

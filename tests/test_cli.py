@@ -394,6 +394,17 @@ class TestMalformedDocuments:
         ("space_x", {"weights": {"a": 1}}),
         ("space_x", {"weights": [1, 1], "labels": 5}),
         ("h", {"values": {"a": 1}}),
+        # values that float() or str() would convert, and an integer too large for a float
+        ("f", {"family": "exp", "k": "2"}),
+        ("f", {"family": "exp", "k": True}),
+        ("f", {"family": "exp", "k": 10**400}),
+        ("f", {"family": "log", "scale": "3"}),
+        ("f", {"family": "log", "affine": {"a": "2", "b": False}}),
+        ("space_x", {"weights": ["1", "2"]}),
+        ("space_x", {"weights": [10**400, 1]}),
+        ("space_x", {"weights": [1, 1], "labels": "ab"}),
+        ("space_x", {"weights": [1, 1], "labels": [1, True]}),
+        ("h", {"values": [["1", 2], [3, 4]]}),
     ])
     def test_wrong_field_type_exits_2(self, docs, capsys, slot, doc):
         paths = {"f": docs["exp1"], "space_x": docs["unit2"], "h": docs["h"],
@@ -406,3 +417,11 @@ class TestMalformedDocuments:
         assert out.out == ""
         assert out.err.startswith("input error: ") and out.err.count("\n") == 1
         assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("doc", [{"family": "exp", "k": 10**400}, {"family": "exp", "k": "2"}])
+    def test_wrong_field_type_exits_2_in_phi(self, docs, capsys, doc):
+        code = main(["phi", "--f", write(docs["tmp"] / "malformed.json", doc), "--g", docs["exp2"]])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("input error: ") and out.err.count("\n") == 1

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import sys
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from qamlab import (
+    DEFAULT_ZERO_TOL,
     AffineGenerator,
     CodomainKind,
     DiscreteMeasureSpace,
@@ -593,6 +595,25 @@ class TestWrappers:
         with pytest.raises(ValueError):
             affine(ExpGenerator(1.0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda g: scale(g, math.inf), "scale factor must be a finite positive real"),
+        (lambda g: scale(g, math.nan), "scale factor must be a finite positive real"),
+        (lambda g: affine(g, -math.inf, 0.0), "affine wrapper requires finite a != 0 and finite b"),
+        (lambda g: affine(g, 1.0, math.nan), "affine wrapper requires finite a != 0 and finite b"),
+        (lambda g: ExpGenerator(math.inf), "exp generator requires a finite nonzero rate k"),
+    ], ids=["scale-inf", "scale-nan", "affine-a-inf", "affine-b-nan", "exp-k-inf"])
+    def test_non_finite_parameters_are_refused(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build(ExpGenerator(1.0))
+        assert str(info.value) == message
+
+    def test_constructors_take_numpy_numbers(self):
+        # only documents are held to JSON numbers
+        g = ExpGenerator(np.int64(2))
+        assert scale(g, np.float32(3.0)).describe() == "3*exp(k=2)"
+        assert affine(PowerGenerator(np.float64(0.5)), np.int64(-2), np.float32(1.5)).describe() == \
+            "-2*power(p=0.5)+1.5"
+
     def test_scale_preserves_positive_codomain(self):
         assert scale(ExpGenerator(1.0), 2.0).codomain_kind is CodomainKind.POSITIVE_REALS
 
@@ -623,6 +644,11 @@ class TestSettingValidation:
 
     def test_log_probability_only(self):
         assert not validate_for_setting(LogGenerator(), MeanSetting.FINITE_MEASURE)
+
+    def test_unknown_setting(self):
+        with pytest.raises(ValueError) as info:
+            validate_for_setting(ExpGenerator(1.0), "finite_measure")
+        assert str(info.value) == "unknown setting: 'finite_measure'"
 
     def test_finite_measure_implies_probability(self, catalog):
         wrapped = [scale(g, 2.0) for g in catalog] + [affine(g, -1.0, 0.5) for g in catalog]
@@ -663,6 +689,15 @@ class TestRoundTripAndMonotonicity:
     def test_exp_round_trip_property(self, k, x):
         gen = ExpGenerator(k)
         assert gen.inverse(gen.eval(x)) == pytest.approx(x, rel=1e-10, abs=1e-10)
+
+
+class _OnNegatives(PowerGenerator):
+    """power(p=2) with its domain moved to (-inf, -1), which no catalog domain meets."""
+
+    domain = Interval(-math.inf, -1.0)
+
+    def __init__(self):
+        super().__init__(2.0)
 
 
 class TestEquivalenceRelations:
@@ -711,6 +746,16 @@ class TestEquivalenceRelations:
 
         with pytest.raises(ValueError):
             is_proportional(Shifted(), lower)
+
+    @pytest.mark.parametrize("check", [is_proportional, is_affine_equivalent])
+    def test_domain_mismatch_message(self, check):
+        with pytest.raises(ValueError) as info:
+            check(_OnNegatives(), PowerGenerator(3.0))
+        assert str(info.value) == "domain mismatch: power(p=2) and power(p=3) share no interval"
+
+    @pytest.mark.parametrize("check", [is_proportional, is_affine_equivalent])
+    def test_default_tolerance_is_the_package_default(self, check):
+        assert inspect.signature(check).parameters["tol"].default == DEFAULT_ZERO_TOL
 
     def test_negative_ratio_is_not_proportional(self):
         g = PowerGenerator(1.0)
@@ -820,8 +865,23 @@ class TestCatalogSurface:
          "power generator document requires an exponent 'p'"),
         (lambda: generator_from_json({"family": "exp", "k": 0}), ValueError,
          "exp generator requires a finite nonzero rate k"),
-        (lambda: generator_from_json({"family": "exp", "k": None}), TypeError,
-         "float() argument must be a string or a real number, not 'NoneType'"),
+        (lambda: generator_from_json({"family": "exp", "k": None}), ValueError,
+         "k must be a JSON number within the float range, got None"),
+        # float() would take these for numbers
+        (lambda: generator_from_json({"family": "exp", "k": "2"}), ValueError,
+         "k must be a JSON number within the float range, got '2'"),
+        (lambda: generator_from_json({"family": "exp", "k": True}), ValueError,
+         "k must be a JSON number within the float range, got True"),
+        (lambda: generator_from_json({"family": "power", "p": 10**400}), ValueError,
+         f"p must be a JSON number within the float range, got {'1' + '0' * 35} ..."),
+        (lambda: generator_from_json({"family": "log", "scale": "3"}), ValueError,
+         "scale must be a JSON number within the float range, got '3'"),
+        (lambda: generator_from_json({"family": "log", "affine": {"a": "2", "b": 0}}), ValueError,
+         "affine a must be a JSON number within the float range, got '2'"),
+        (lambda: generator_from_json({"family": "log", "affine": {"a": 2, "b": False}}), ValueError,
+         "affine b must be a JSON number within the float range, got False"),
+        (lambda: generator_from_json({"family": "log", "affine": [2, 0]}), ValueError,
+         "affine wrapper must be an object with 'a' and 'b'"),
         (lambda: ExpGenerator(0), ValueError, "exp generator requires a finite nonzero rate k"),
         (lambda: PowerGenerator(math.nan), ValueError,
          "power generator requires a finite nonzero exponent p"),
@@ -829,6 +889,8 @@ class TestCatalogSurface:
 
     @pytest.mark.parametrize("build, exc, message", INVALID,
                              ids=["family-list", "family-null", "power-no-p", "exp-k-0", "exp-k-null",
+                                  "exp-k-string", "exp-k-bool", "power-p-huge", "scale-string",
+                                  "affine-a-string", "affine-b-bool", "affine-list",
                                   "ExpGenerator(0)", "PowerGenerator(nan)"])
     def test_invalid_input(self, build, exc, message):
         with pytest.raises(exc) as info:
@@ -845,6 +907,16 @@ class TestInterval:
     def test_rejects_closed_infinite_end(self):
         with pytest.raises(ValueError):
             Interval(0.0, math.inf, upper_open=False)
+
+    def test_rejects_closed_infinite_lower_end(self):
+        with pytest.raises(ValueError) as info:
+            Interval(-math.inf, 0.0, lower_open=False)
+        assert str(info.value) == "an infinite lower endpoint must be open"
+
+    def test_sample_points_need_two(self):
+        with pytest.raises(ValueError) as info:
+            Interval(0.0, 1.0).sample_points(1)
+        assert str(info.value) == "need at least 2 sample points"
 
     def test_intersection(self):
         common = Interval(-math.inf, math.inf).intersection(Interval(0.0, math.inf))

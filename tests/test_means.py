@@ -376,6 +376,19 @@ class TestSimpleFunctionMatrix:
         again = SimpleFunctionMatrix.from_json(h.to_json())
         assert np.array_equal(again.values, h.values)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"weights": [[1.0]]}, "h document must be an object with a 'values' key"),
+        ([[1.0, 2.0]], "h document must be an object with a 'values' key"),
+        ({"values": [["1", 2.0]]}, "values must hold only JSON numbers within the float range, got '1'"),
+        ({"values": [[1.0, True]]}, "values must hold only JSON numbers within the float range, got True"),
+        ({"values": [[1.0, 10**400]]},
+         f"values must hold only JSON numbers within the float range, got {'1' + '0' * 35} ..."),
+    ], ids=["no-values", "not-an-object", "string", "bool", "huge-int"])
+    def test_malformed_json(self, doc, message):
+        with pytest.raises(ValueError) as info:
+            SimpleFunctionMatrix.from_json(doc)
+        assert str(info.value) == message
+
     def test_rows_columns_transpose(self):
         h = SimpleFunctionMatrix([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(h.row(1), [3.0, 4.0])

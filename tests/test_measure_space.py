@@ -124,6 +124,26 @@ class TestJson:
         with pytest.raises(ValueError):
             DiscreteMeasureSpace.from_json({"labels": ["a"]})
 
+    # values that float() or str() would convert
+    @pytest.mark.parametrize("doc, message", [
+        ({"weights": ["1", "2"]}, "weights must hold only JSON numbers within the float range, got '1'"),
+        ({"weights": [1, False]}, "weights must hold only JSON numbers within the float range, got False"),
+        ({"weights": [10**400, 1]},
+         f"weights must hold only JSON numbers within the float range, got {'1' + '0' * 35} ..."),
+        ({"weights": None}, "weights must hold only JSON numbers within the float range, got None"),
+        ({"weights": [1, 2], "labels": "ab"}, "labels must be a list of strings"),
+        ({"weights": [1, 2], "labels": [1, True]}, "labels must be a list of strings"),
+    ], ids=["string", "bool", "huge-int", "null", "labels-string", "labels-not-strings"])
+    def test_wrong_json_types(self, doc, message):
+        with pytest.raises(ValueError) as info:
+            DiscreteMeasureSpace.from_json(doc)
+        assert str(info.value) == message
+
+    def test_json_ints_are_numbers(self):
+        space = DiscreteMeasureSpace.from_json({"weights": [1, 2.5], "labels": ["a", "b"]})
+        assert space.weights.tolist() == [1.0, 2.5]
+        assert space.labels == ("a", "b")
+
 
 class TestProductGrid:
     def test_weight_is_product(self):

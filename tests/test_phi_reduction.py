@@ -87,6 +87,13 @@ class TestBigPhi:
         with pytest.raises(ValueError):
             big_phi(f, g, 1.0, 1.0, -1.0, 2.0)
 
+    @pytest.mark.parametrize("alpha1, alpha2, name", [(-1.0, 1.0, "alpha1"), (1.0, math.inf, "alpha2")])
+    def test_rejects_a_mass_that_is_not_positive_and_finite(self, alpha1, alpha2, name):
+        f, g = SQRT_PAIR
+        with pytest.raises(ValueError) as info:
+            big_phi(f, g, alpha1, alpha2, 1.0, 2.0)
+        assert str(info.value) == f"{name} must be positive and finite"
+
 
 class TestBlockScenario:
     def test_rejects_nonpositive_mass(self):
@@ -294,6 +301,12 @@ class TestMonotonicityAndLimit:
         assert np.allclose(phi_origin_limit(f, g, 1.0, 1.0, 4), [4.0, 2.0, 4.0 / 3.0, 1.0])
         f, g = RECIP_PAIR
         assert np.allclose(phi_origin_limit(f, g, 1.0, 1.0, 4), [0.5, 0.25, 1.0 / 6.0, 0.125])
+
+    def test_origin_limit_needs_two_terms(self):
+        f, g = SQRT_PAIR
+        with pytest.raises(ValueError) as info:
+            phi_origin_limit(f, g, 1.0, 1.0, 1)
+        assert str(info.value) == "n_max must be at least 2"
 
     def test_origin_limit_decays_for_catalog_pairs(self, positive_bijection_pairs):
         for f, g in positive_bijection_pairs:

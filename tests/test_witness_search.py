@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -30,7 +31,9 @@ from qamlab import (
     scale,
 )
 from qamlab import means, witness_search
+from qamlab.residuals import _relative_residuals
 from qamlab.witness_search import _decode, _table_sides
+from test_generators import _OnNegatives
 from test_pinned_witness import DATA as PINNED, PAIRS
 
 LN2, LN3, LN4 = math.log(2.0), math.log(3.0), math.log(4.0)
@@ -52,6 +55,18 @@ class TestGridSpec:
             GridSpec(5, (2.0, 1.0))
         with pytest.raises(ValueError):
             GridSpec(5, (-1.0, 1.0), Spacing.GEOMETRIC)
+
+    @pytest.mark.parametrize("value_range", [(0.1, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_range_must_be_finite(self, value_range):
+        with pytest.raises(ValueError) as info:
+            GridSpec(5, value_range, Spacing.LINEAR)
+        assert str(info.value) == "grid range must be a finite interval with lo < hi"
+
+    @pytest.mark.parametrize("grid", [[[0.5, 1.0]], []], ids=["2-D", "empty"])
+    def test_grid_must_be_one_dimensional(self, grid):
+        with pytest.raises(ValueError) as info:
+            block_witness_search(ExpGenerator(1.0), ExpGenerator(2.0), 1, 1, 1, 1, grid)
+        assert str(info.value) == "search grid must be a one-dimensional set of points"
 
     def test_grid_must_fit_domains(self):
         # power generators live on (0, inf); a grid touching -1 is invalid
@@ -256,6 +271,11 @@ class TestRefinement:
         fabricated = Witness("block", sc.masses, sc.block_values,
                              block_scenario_residual(f, g, sc))
         assert refine_witness(f, g, fabricated, 10) is fabricated
+
+    def test_generators_without_a_common_domain(self):
+        with pytest.raises(ValueError) as info:
+            refine_witness(_OnNegatives(), PowerGenerator(3.0), self.start, 1)
+        assert str(info.value) == "domain mismatch: power(p=2) and power(p=3) share no interval"
 
     def test_refines_matrix_witnesses(self):
         spaces = (DiscreteMeasureSpace([1.0, 1.0]), DiscreteMeasureSpace([1.0, 1.0]))
@@ -577,7 +597,25 @@ class TestWorkerCap:
 
         monkeypatch.setattr(witness_search, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(witness_search.os, "cpu_count", lambda: 3)
-        # 9 batches of 9^3 candidates, so 5000 workers would otherwise ask for 9 threads
+        # 9 batches of 9^3 candidates, so 5000 workers would otherwise ask for 9 runs;
+        # the calling thread runs the first of the 3, the pool the other 2
         capped = block_witness_search(f, g, 0.7, 1.3, 1.1, 0.6, grid, workers=5000)
-        assert pools == [3]
+        assert pools == [2]
         assert capped == alone
+
+    def test_calling_thread_runs_the_first_run(self, monkeypatch):
+        f, g = ExpGenerator(1.0), ExpGenerator(2.0)
+        grid = GridSpec(9, (0.1, 10.0))
+        alone = block_witness_search(f, g, 0.7, 1.3, 1.1, 0.6, grid)
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return _relative_residuals(*args)
+
+        monkeypatch.setattr(witness_search, "_relative_residuals", recording)
+        monkeypatch.setattr(witness_search.os, "cpu_count", lambda: 2)
+        assert block_witness_search(f, g, 0.7, 1.3, 1.1, 0.6, grid, workers=2) == alone
+        # 9 batches in runs of 5 and 4: the first 5 in this thread
+        assert len(threads) == 9
+        assert threads.count(threading.get_ident()) == 5
