@@ -30,7 +30,14 @@ Each worker allocates its batch buffers once, and the sums, the
 generator inverses (``_inverse_raw(y, out)``) and the residuals write
 into them: fresh batch-sized arrays let glibc trim the heap and fault it
 in again between batches, which cost a block search about half of its
-time on a 2-vCPU x86 host.
+time on a 2-vCPU x86 host.  A chain of 3 to 7 terms adds its partial
+sums at the shape of the digits they read.  A batch is range-tested from
+its tables: each weighted table keeps, per prefix of lead digits, its
+NaN-propagating minimum and maximum over its trailing digits, and as
+rounded addition is monotone and the tables read disjoint digits, their
+sums in the same order are exactly the batch's least and greatest sum
+(``_inverse_within``).  ``np.argmax`` returns the first NaN, so only a
+batch whose best residual is NaN counts its skipped candidates.
 """
 
 from __future__ import annotations
@@ -179,7 +186,7 @@ def _decode(indices, pts: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return pts[(indices[..., None] // radix) % pts.size].reshape(indices.shape + shape)
 
 
-def _weighted_sum(products: list, out: np.ndarray) -> np.ndarray:
+def _weighted_sum(products: list, out: np.ndarray | None = None) -> np.ndarray:
     """The sum of two or more weighted terms, broadcast into ``out``, in the order of ``np.sum``.
 
     The branch is there for bit-identity with the kernel, not for speed.
@@ -189,13 +196,31 @@ def _weighted_sum(products: list, out: np.ndarray) -> np.ndarray:
     over the stacked terms repeats (the first product's 0.0 cannot change
     that sum, which starts from 0.0 too).  The stack would be
     bit-identical at every length, but costs far more than the chain.
+    The chain adds at the broadcast shape of the terms added so far, and
+    only its last add writes ``out``: the terms of a search read disjoint
+    digits, so all but the last span a fraction of the batch.  Without
+    ``out`` the sum is a new array, as for a batch's bounds.
     """
     if len(products) >= 8:
-        return np.sum(np.stack(np.broadcast_arrays(*products), axis=-1), axis=-1, out=out)
-    np.add(products[0], products[1], out=out)
-    for product in products[2:]:
-        np.add(out, product, out=out)
-    return out
+        stack = np.empty(np.broadcast_shapes(*(p.shape for p in products)) + (len(products),))
+        for i, product in enumerate(products):
+            stack[..., i] = product
+        return np.sum(stack, axis=-1, out=out)
+    partial = products[0]
+    for product in products[1:-1]:
+        partial = np.add(partial, product)
+    return np.add(partial, products[-1], out=out)
+
+
+def _inverse_within(gen: Generator, bounds, y: np.ndarray) -> np.ndarray:
+    """``gen``'s inverse of a batch's sums ``y``, in place, with NaN outside its range.
+
+    ``bounds``, the least and the greatest sum or None, replace
+    ``masked_inverse``'s two reductions over the batch.
+    """
+    if bounds is not None and gen.codomain.contains_all(bounds):
+        return gen._inverse_raw(y, y)
+    return masked_inverse(gen, y, y)
 
 
 def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts: np.ndarray):
@@ -217,7 +242,8 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
 
     def summed(outer, inner, w_outer, w_inner, groups):
         """A function that writes the ``w_outer``-weighted sum of the groups'
-        (rows' or columns') entries over a batch into a flat buffer."""
+        (rows' or columns') entries over a batch into a flat buffer, and
+        returns the least and the greatest of those sums, or None."""
         if w_inner.size == digits:
             # the other space has one atom, so the one group spans every digit
             # and its table would be as large as the search: build each
@@ -231,12 +257,20 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
         # plus 0.0, where the sum's chain starts
         products = [w * table for w in w_outer]
         products[0] = 0.0 + products[0]
+        # each product's minimum and maximum over its trailing digits, on a new
+        # first axis, for each value of its lead digits (its first axes)
+        extremes = [np.stack([ufunc.reduce(product, axis=tuple(
+            a for a, q in enumerate(group) if q >= lead)) for ufunc in (np.minimum, np.maximum)])
+            for product, group in zip(products, groups)]
+        # each product's slice, broadcast over the batch's cube
+        shapes = [[npts if q in group else 1 for q in range(lead, digits)] for group in groups]
 
         def lookup(start, out):
             prefix = np.unravel_index(start // batch, (npts,) * lead)
-            _weighted_sum([product[tuple(prefix[q] for q in group if q < lead)].reshape(
-                [npts if q in group else 1 for q in range(lead, digits)])
-                for product, group in zip(products, groups)], out.reshape(cube))
+            keys = [tuple(prefix[q] for q in group if q < lead) for group in groups]
+            _weighted_sum([product[key].reshape(shape) for product, key, shape in zip(products, keys, shapes)],
+                          out.reshape(cube))
+            return _weighted_sum([ext[(slice(None),) + key] for ext, key in zip(extremes, keys)])
         return lookup
 
     # f of the inner g-mean over Y of every row, g of the inner f-mean over
@@ -246,9 +280,8 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
 
     def sides(start: int, lhs: np.ndarray, rhs: np.ndarray):
         with np.errstate(all="ignore"):
-            row_sum(start, lhs)
-            col_sum(start, rhs)
-            return masked_inverse(f, lhs, lhs), masked_inverse(g, rhs, rhs)
+            return (_inverse_within(f, row_sum(start, lhs), lhs),
+                    _inverse_within(g, col_sum(start, rhs), rhs))
 
     return sides, npts**digits, batch
 
@@ -272,11 +305,15 @@ def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness 
         results = []
         for start in starts.tolist():
             _relative_residuals(*sides(start, lhs, rhs), rel)
-            # a skipped candidate gets -1, below every residual
-            np.isnan(rel, out=skipped)
-            np.copyto(rel, -1.0, where=skipped)
-            local = int(np.argmax(rel))
-            results.append((float(rel[local]), start + local, int(np.count_nonzero(skipped))))
+            # np.argmax stops at the first NaN, so only a batch with a skipped
+            # candidate looks for them; each gets -1, below every residual
+            local, skip = int(np.argmax(rel)), 0
+            if math.isnan(rel[local]):
+                np.isnan(rel, out=skipped)
+                skip = int(np.count_nonzero(skipped))
+                np.copyto(rel, -1.0, where=skipped)
+                local = int(np.argmax(rel))
+            results.append((float(rel[local]), start + local, skip))
         return results
 
     # one contiguous run of batches per worker, at most one per CPU; this

@@ -8,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qamlab
-from qamlab import (block_witness_search, full_witness_search, run_diagnostics,
+from qamlab import (DiscreteMeasureSpace, SimpleFunctionMatrix, block_witness_search,
+                    full_witness_search, generator_from_json, run_diagnostics,
                     run_finite_measure_suite, run_probability_suite)
 from qamlab.cli import build_parser, main
 
@@ -425,3 +428,35 @@ class TestMalformedDocuments:
         assert code == 2
         assert out.out == ""
         assert out.err.startswith("input error: ") and out.err.count("\n") == 1
+
+
+# JSON values as ``json.loads`` returns them, NaN and the infinities included,
+# nested under the keys the document readers look up
+_JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400])
+              | st.floats() | st.text(max_size=4)
+              | st.sampled_from(["exp", "power", "identity", "log"]))
+_JSON_KEY = st.sampled_from(["family", "k", "p", "scale", "affine", "a", "b", "weights", "labels",
+                             "values"]) | st.text(max_size=3)
+_JSON = st.recursive(_JSON_LEAF, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(_JSON_KEY, inner, max_size=4), max_leaves=10)
+_DOCUMENTS = _JSON | st.fixed_dictionaries(
+    {"family": st.sampled_from(["exp", "power", "identity", "log"]) | _JSON},
+    optional={"k": _JSON, "p": _JSON, "scale": _JSON,
+              "affine": st.fixed_dictionaries({}, optional={"a": _JSON, "b": _JSON}) | _JSON},
+) | st.fixed_dictionaries({"weights": _JSON}, optional={"labels": _JSON}) \
+    | st.fixed_dictionaries({"values": _JSON})
+
+
+class TestReadersRaiseOnlyValueError:
+    # the CLI reports a ValueError from a reader as malformed input (exit 2);
+    # any other exception would escape main as a traceback with exit 1.  Drawing
+    # the documents costs about 5 ms each, so the examples are bounded
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_DOCUMENTS)
+    def test_arbitrary_json_documents(self, doc):
+        doc = json.loads(json.dumps(doc))
+        for reader in (generator_from_json, DiscreteMeasureSpace.from_json, SimpleFunctionMatrix.from_json):
+            try:
+                reader(doc)
+            except ValueError:
+                pass

@@ -37,11 +37,14 @@ from qamlab import (
     scale,
     validate_for_setting,
 )
+from qamlab import generators
 from qamlab.generators import (
     _BISECT_ARRAY_MIN,
     _BISECT_MAX_ITER,
+    _BISECT_REL_TOL,
     _RANGE_LIST_MAX,
     _bisect_array,
+    _bisect_elements,
     _bisect_scalar,
     _interior_seed,
     _walk,
@@ -491,6 +494,57 @@ class TestBracketWalkCache:
                         assert [p[2:7] for p in pieces] == _reference_walk(gen, len(pieces))
         finally:
             sys.setswitchinterval(interval)
+
+
+class _Recording(_Counting):
+    """``gen`` with every point its ``_eval_raw`` was given."""
+
+    def __init__(self, gen):
+        super().__init__(gen)
+        self.points = []
+
+    def _eval_raw(self, x):
+        self.points.extend(np.ravel(x).tolist())
+        return super()._eval_raw(x)
+
+
+class TestIterationCap:
+    """Both loops' exit after ``_BISECT_MAX_ITER`` steps, reached by lowering the cap.
+
+    ``_walk`` reads the cap too, so each path inverts on a fresh generator,
+    whose walk then ends after ``CAP - 1`` brackets.  A loop that runs out
+    of steps returns the midpoint of its last bracket: two points it
+    evaluated, wider apart than the stopping rule, whose residuals still
+    lie on either side of the target's.
+    """
+
+    CAP = 3
+    _RNG = np.random.default_rng(11)
+    # x inside the walk's last bracket at this cap: [-3, 3] and [1/8, 7/8]
+    CASES = {
+        "cube": (_CUBE, _RNG.uniform(-2.9, 2.9, 2 * _BISECT_ARRAY_MIN)),
+        "cube-decreasing": (_Bisecting("-cube", lambda x: np.power(-x, 3.0), _REALS, _REALS, False),
+                            _RNG.uniform(-2.9, 2.9, 2 * _BISECT_ARRAY_MIN)),
+        "logit": (_LOGIT, _RNG.uniform(0.13, 0.87, 2 * _BISECT_ARRAY_MIN)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_both_loops_return_the_midpoint_of_a_bracket_around_the_target(self, monkeypatch, case):
+        gen, x = self.CASES[case]
+        monkeypatch.setattr(generators, "_BISECT_MAX_ITER", self.CAP)
+        y = gen._eval_raw(x)
+        per_element, array = _Recording(_fresh(gen)), _Recording(_fresh(gen))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            got = np.array(_bisect_elements(per_element, y.tolist()))
+            assert np.array_equal(_bits(_bisect_array(array, y)), _bits(got))
+        s = 1.0 if gen.increasing else -1.0
+        for recorded in (per_element, array):
+            points = np.unique(recorded.points)
+            residuals = s * (gen._eval_raw(points) - y[:, None])
+            for target, mid, r in zip(y, got, residuals):
+                lo, hi = points[r <= 0.0][:, None], points[r >= 0.0][None, :]
+                around = (0.5 * (lo + hi) == mid) & (hi - lo > _BISECT_REL_TOL * max(1.0, abs(mid)))
+                assert around.any(), f"{case}: {mid!r} for target {target!r}"
 
 
 class TestInPlaceInverse:

@@ -31,8 +31,9 @@ from qamlab import (
     scale,
 )
 from qamlab import means, witness_search
+from qamlab.generators import masked_inverse
 from qamlab.residuals import _relative_residuals
-from qamlab.witness_search import _decode, _table_sides
+from qamlab.witness_search import _decode, _inverse_within, _table_sides
 from test_generators import _OnNegatives
 from test_pinned_witness import DATA as PINNED, PAIRS
 
@@ -529,6 +530,57 @@ class TestTableEvaluator:
                 block = block_witness_search(f, g, *wx, *wy, grid, 1e-300, workers)
                 assert list(block.values) == want[0] + want[1]
                 assert block.skipped_points == skipped
+
+
+class TestBatchBounds:
+    """Each batch's range test from its tables, on every table-evaluator case.
+
+    ``_inverse_within`` gets a batch's sums with their least and greatest
+    value from the per-prefix extremes of the tables.  Those bounds must be
+    the batch's NaN-propagating minimum and maximum bit for bit, and the
+    sides through them those of ``masked_inverse``.  The shifted cases put
+    some batches' sums outside f's range, so that their bounds fail; the
+    one-atom sides of 9x1 and 1x1 have no bounds.
+    """
+
+    @pytest.fixture(autouse=True, params=[witness_search.BATCH_SIZE, 64, 16],
+                    ids=lambda size: f"batch{size}")
+    def batch_size(self, request, monkeypatch):
+        monkeypatch.setattr(witness_search, "BATCH_SIZE", request.param)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("case", TestTableEvaluator.CASES)
+    def test_bounds_are_the_batch_extremes_and_give_the_masked_sides(self, case, monkeypatch):
+        (f, g), wx, wy, grid = TestTableEvaluator.CASES[case]
+        bounds_got, bounds_want, sides_got, sides_want, outcomes = [], [], [], [], set()
+
+        def recording(gen, bounds, y):
+            sums = y.copy()
+            sides_got.append(_inverse_within(gen, bounds, y))
+            sides_want.append(masked_inverse(gen, sums))
+            if bounds is None:
+                outcomes.add(None)
+            else:
+                bounds_got.append(bounds)
+                bounds_want.append([np.minimum.reduce(sums), np.maximum.reduce(sums)])
+                outcomes.add(gen.codomain.contains_all(bounds))
+            return sides_got[-1]
+
+        monkeypatch.setattr(witness_search, "_inverse_within", recording)
+        # every batch in its own buffers, so that each recorded side stays as written
+        TestTableEvaluator.table_sides(f, g, np.asarray(wx), np.asarray(wy), grid.points())
+        self.assert_same_bits(np.concatenate(sides_got), np.concatenate(sides_want))
+        if bounds_got:
+            self.assert_same_bits(bounds_got, bounds_want)
+        # one-atom sides have no bounds, and bounds fail on the shifted cases only
+        assert (None in outcomes) == (1 in (len(wx), len(wy)))
+        assert (False in outcomes) == case.startswith("shifted")
 
 
 class TestOneAtomTables:
