@@ -587,7 +587,9 @@ class ExpGenerator(_OneParam):
         return np.exp(self.k * x)
 
     def _inverse_raw(self, y, out=None):
-        return np.divide(np.log(y, out=out), self.k, out=out)
+        x = np.log(y, out=out)
+        # x / 1.0 is x bit for bit
+        return x if self.k == 1.0 else np.divide(x, self.k, out=out)
 
 
 class PowerGenerator(_OneParam):
@@ -667,8 +669,10 @@ class AffineGenerator(Generator):
         return self.a * self.inner._eval_raw(x) + self.b
 
     def _inverse_raw(self, y, out=None):
-        x = np.divide(np.subtract(y, self.b, out=out), self.a, out=out)
-        return self.inner._inverse_raw(x, out)
+        # y - (+0.0) is y bit for bit, as in every scale wrapper; y - (-0.0) turns -0.0 into +0.0
+        if self.b or math.copysign(1.0, self.b) < 0:
+            y = np.subtract(y, self.b, out=out)
+        return self.inner._inverse_raw(np.divide(y, self.a, out=out), out)
 
     def describe(self) -> str:
         return f"{self.a:g}*{self.inner.describe()}{self.b:+g}"

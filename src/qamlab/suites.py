@@ -7,20 +7,22 @@ f = c*g over positive bijections on arbitrary finite masses; the affine
 suite pairs f = a*g + b over real-valued injections on probability
 spaces.  All randomness flows from one seed, so runs are reproducible.
 
-The cases are drawn first, in a fixed order from one RNG stream, then
-grouped by (f, g) and each group is evaluated as one batch of the
-``mixed_means`` kernel, with its own masses per case; a case smaller than
-its group's largest shape is padded with zero-mass atoms.  Grouping and
-padding change neither the case order, the RNG stream nor any row: each
-case's sides equal those of ``commutation_residual`` bit for bit, and a
-failing case raises the same stage-tagged RangeError, that of the first
-failing case in case order.
+Each (f, g) combination is one group.  Its space pairs are drawn, one
+pair at a time and in a fixed order from one RNG stream, straight into
+the group's batch arrays, with every pair padded to 3 x 3 atoms by atoms
+of zero mass, and the group is evaluated by one call of the
+``mixed_means`` kernel.  Drawing into the batch changes no RNG call and
+padding changes no bit: each case's sides equal those of
+``commutation_residual`` bit for bit, and a failing case raises the same
+stage-tagged RangeError, that of the first failing case in case order.
+Rows are built in case order, each pair's masses formatted once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -69,11 +71,6 @@ class SuiteResult:
         }
 
 
-def _random_masses(rng: np.random.Generator, n_atoms: int, total_mass: float) -> np.ndarray:
-    raw = rng.uniform(0.5, 1.5, n_atoms)
-    return raw * (total_mass / raw.sum())
-
-
 def _random_total_mass(rng: np.random.Generator) -> float:
     # finite masses in [0.2, 5], avoiding the probability-space point
     while True:
@@ -92,17 +89,68 @@ def _random_values(rng: np.random.Generator, domain: Interval, shape) -> np.ndar
     return rng.uniform(lo + 0.1 * span, hi - 0.1 * span, shape)
 
 
-def _run_cases(
-    name: str,
-    tol: float,
-    cases,  # iterable of (f, g, wx, wy, H): generators, masses, values
-) -> SuiteResult:
-    """One ``mixed_means`` batch per (f, g) group; rows in case order.
+def _check_counts(**counts) -> None:
+    for name, count in counts.items():
+        if count < 0:
+            raise ValueError(f"{name} must be a non-negative count, got {count}")
 
-    A group's cases are laid out in runs of equal shape and padded, a run
-    at a time, to the group's largest shape with zero-mass atoms: a pad Y
-    atom repeats the case's first column, a pad X atom its first row.  No
-    side changes by a bit:
+
+def _pad(values: np.ndarray, m: np.ndarray, n: np.ndarray) -> None:
+    """Fill the pad atoms of ``values[..., h, 3, 3]`` in place; space pair ``...`` has m x n real atoms.
+
+    A pad Y atom repeats its row's first column, then a pad X atom
+    repeats the (padded) first row.
+    """
+    atoms = np.arange(values.shape[-1])
+    np.copyto(values, values[..., :1], where=(atoms >= n[..., None])[..., None, None, :])
+    np.copyto(values, values[..., :1, :], where=(atoms >= m[..., None])[..., None, :, None])
+
+
+def _draw_groups(rng: np.random.Generator, domains: list[Interval],
+                 pairs: int, h: int, finite: bool) -> tuple:
+    """Draw ``pairs`` random space pairs of ``h`` functions per domain, straight into padded batches.
+
+    Returns ``wx[G, P, 3]``, ``wy[G, P, 3]``, ``values[G, P, h, 3, 3]``,
+    ``m[G, P]`` and ``n[G, P]``, group i drawn on ``domains[i]``: pair
+    (i, p) has m[i, p] X and n[i, p] Y atoms, the masses of the atoms
+    past them are 0.0, and ``_pad`` fills their values.  The RNG calls
+    are those of drawing one pair at a time, in the same order: the two
+    atom counts, then per side a total mass when ``finite`` (1.0
+    otherwise) and the raw masses, then all h functions in one draw.  The
+    raw masses are scaled to their totals with one row sum for all the
+    groups; a pad slot's 0.0 changes no sum, so every mass has the bits
+    of the pair drawn alone.
+    """
+    shape = (len(domains), pairs)
+    m, n = np.empty(shape, dtype=int), np.empty(shape, dtype=int)
+    wx, wy = np.zeros((*shape, 3)), np.zeros((*shape, 3))
+    total_x, total_y = np.ones(shape), np.ones(shape)
+    values = np.empty((*shape, h, 3, 3))
+    for i, domain in enumerate(domains):
+        for p in range(pairs):
+            m[i, p] = mx = int(rng.integers(2, 4))
+            n[i, p] = my = int(rng.integers(2, 4))
+            if finite:
+                total_x[i, p] = _random_total_mass(rng)
+            wx[i, p, :mx] = rng.uniform(0.5, 1.5, mx)
+            if finite:
+                total_y[i, p] = _random_total_mass(rng)
+            wy[i, p, :my] = rng.uniform(0.5, 1.5, my)
+            values[i, p, :, :mx, :my] = _random_values(rng, domain, (h, mx, my))
+    wx *= (total_x / wx.sum(axis=-1))[..., None]
+    wy *= (total_y / wy.sum(axis=-1))[..., None]
+    _pad(values, m, n)
+    return wx, wy, values, m, n
+
+
+def _run_groups(name: str, tol: float, gen_pairs: list[tuple[Generator, Generator]],
+                wx, wy, values, m, n) -> SuiteResult:
+    """One ``mixed_means`` call per generator pair, on its group of ``_draw_groups``; rows in case order.
+
+    ``gen_pairs[i]`` is the (f, g) of group i.  Case order is group order,
+    then space pair order, then function order within a space pair.
+    Evaluating a space pair with zero-mass pad atoms changes none of its
+    sides by a bit:
 
     - a pad term ``0.0 * v`` joins a sum of at most three terms with the
       sign of the real term whose value it repeats, so it changes no sum
@@ -115,33 +163,18 @@ def _run_cases(
 
     The zero masses live only in these batch arrays, never in a
     ``DiscreteMeasureSpace``, which rejects them.  A case with a NaN side
-    failed; the first in case order raises its stage-tagged RangeError.
+    failed; the first in case order raises its stage-tagged RangeError,
+    computed on its own unpadded arrays.
     """
-    cases = list(cases)
-    groups: dict[tuple, dict[tuple, list[int]]] = {}
-    for k, (f, g, _, _, values) in enumerate(cases):
-        groups.setdefault((f, g), {}).setdefault(values.shape, []).append(k)
-
-    lhs, rhs = np.empty(len(cases)), np.empty(len(cases))
-    for (f, g), runs in groups.items():
-        order = np.array([k for idx in runs.values() for k in idx])
-        m, n = (max(dims) for dims in zip(*runs))
-        wx, wy = np.zeros((order.size, m)), np.zeros((order.size, n))
-        values = np.empty((order.size, m, n))
-        stop = 0
-        for (mk, nk), idx in runs.items():
-            run = slice(stop, stop + len(idx))
-            stop = run.stop
-            wx[run, :mk] = [cases[k][2] for k in idx]
-            wy[run, :nk] = [cases[k][3] for k in idx]
-            values[run, :mk, :nk] = [cases[k][4] for k in idx]
-            values[run, :mk, nk:] = values[run, :mk, :1]
-            values[run, mk:] = values[run, :1]
-        lhs[order], rhs[order] = mixed_means(f, g, wx, wy, values)
+    lhs, rhs = np.empty(values.shape[:3]), np.empty(values.shape[:3])
+    for i, (f, g) in enumerate(gen_pairs):
+        lhs[i], rhs[i] = mixed_means(f, g, wx[i, :, None, :], wy[i, :, None, :], values[i])
+    lhs, rhs = lhs.ravel(), rhs.ravel()
     failed = np.flatnonzero(np.isnan(lhs) | np.isnan(rhs))
     if failed.size:
-        # the stage-tagged error of the first failing case, on its own arrays
-        _case_sides(*cases[failed[0]])
+        i, p, k = np.unravel_index(failed[0], values.shape[:3])
+        mx, my = m[i, p], n[i, p]
+        _case_sides(*gen_pairs[i], wx[i, p, :mx], wy[i, p, :my], values[i, p, k, :mx, :my])
 
     # the ``ResidualReport`` rule, on every case at once
     abs_res = np.abs(lhs - rhs).tolist()
@@ -149,21 +182,20 @@ def _run_cases(
     result = SuiteResult(name=name, tolerance=tol)
     # Python's max skips a NaN residual where np.max would return it
     result.max_rel_residual = float(np.fmax.reduce(rel, initial=0.0))
-    # consecutive cases share their spaces: format each mass array once,
-    # by id, which stays unique while ``cases`` holds every array
-    texts = {}
-    names = {(f, g): (f.describe(), g.describe()) for f, g in groups}
-    for case_id, ((f, g, wx, wy, _), lhs_k, rhs_k, abs_k, rel_k) in enumerate(
-            zip(cases, lhs.tolist(), rhs.tolist(), abs_res, rel.tolist())):
-        for w in (wx, wy):
-            if id(w) not in texts:
-                texts[id(w)] = ";".join([f"{v:.6g}" for v in w.tolist()])
-        result.rows.append({
-            "suite": name, "case": case_id, "f": names[f, g][0], "g": names[f, g][1],
-            "masses_x": texts[id(wx)], "masses_y": texts[id(wy)],
-            "lhs": lhs_k, "rhs": rhs_k, "abs_residual": abs_k, "rel_residual": rel_k,
-            "pass": rel_k <= tol,
-        })
+    cases = zip(lhs.tolist(), rhs.tolist(), abs_res, rel.tolist())
+    for (f, g), wx_i, wy_i, m_i, n_i in zip(gen_pairs, wx.tolist(), wy.tolist(), m.tolist(), n.tolist()):
+        f_name, g_name = f.describe(), g.describe()
+        for wx_p, wy_p, m_p, n_p in zip(wx_i, wy_i, m_i, n_i):
+            # the masses of a space pair, formatted once for its h cases
+            text_x = ";".join([f"{v:.6g}" for v in wx_p[:m_p]])
+            text_y = ";".join([f"{v:.6g}" for v in wy_p[:n_p]])
+            for lhs_k, rhs_k, abs_k, rel_k in islice(cases, values.shape[2]):
+                result.rows.append({
+                    "suite": name, "case": len(result.rows), "f": f_name, "g": g_name,
+                    "masses_x": text_x, "masses_y": text_y,
+                    "lhs": lhs_k, "rhs": rhs_k, "abs_residual": abs_k, "rel_residual": rel_k,
+                    "pass": rel_k <= tol,
+                })
     return result
 
 
@@ -179,26 +211,16 @@ def run_finite_measure_suite(
     factors c in {0.5, 2, 10}, random non-degenerate space pairs with
     total masses in [0.2, 5] away from 1, several random h per pair.
     """
+    _check_counts(pairs_per_combo=pairs_per_combo, h_per_pair=h_per_pair)
     rng = np.random.default_rng(seed)
     catalog: list[Generator] = [
         ExpGenerator(-1.0), ExpGenerator(1.0), ExpGenerator(2.0),
         PowerGenerator(-1.0), PowerGenerator(0.5), PowerGenerator(2.0),
     ]
 
-    def cases():
-        for g in catalog:
-            for c in (0.5, 2.0, 10.0):
-                f = scale(g, c)
-                for _ in range(pairs_per_combo):
-                    mx = int(rng.integers(2, 4))
-                    my = int(rng.integers(2, 4))
-                    wx = _random_masses(rng, mx, _random_total_mass(rng))
-                    wy = _random_masses(rng, my, _random_total_mass(rng))
-                    # one draw of the same stream, in the same order, as h_per_pair draws
-                    yield from ((f, g, wx, wy, values) for values in
-                                _random_values(rng, g.domain, (h_per_pair, mx, my)))
-
-    return _run_cases("finite-measure-proportional", tol, cases())
+    gen_pairs = [(scale(g, c), g) for g in catalog for c in (0.5, 2.0, 10.0)]
+    groups = _draw_groups(rng, [g.domain for _, g in gen_pairs], pairs_per_combo, h_per_pair, True)
+    return _run_groups("finite-measure-proportional", tol, gen_pairs, *groups)
 
 
 def run_probability_suite(
@@ -212,6 +234,7 @@ def run_probability_suite(
     identity, log, exp(1), power(2); at least ``trials`` random cases
     spread evenly over the combinations.
     """
+    _check_counts(trials=trials)
     rng = np.random.default_rng(seed)
     bases: list[Generator] = [
         IdentityGenerator(), LogGenerator(), ExpGenerator(1.0), PowerGenerator(2.0),
@@ -219,13 +242,7 @@ def run_probability_suite(
     combos = [(a, b, g) for a in (-2.0, 0.5, 3.0) for b in (-1.0, 0.0, 4.0) for g in bases]
     per_combo = -(-trials // len(combos))  # ceil division
 
-    def cases():
-        for a, b, g in combos:
-            f = affine(g, a, b)
-            for _ in range(per_combo):
-                mx = int(rng.integers(2, 4))
-                my = int(rng.integers(2, 4))
-                wx, wy = _random_masses(rng, mx, 1.0), _random_masses(rng, my, 1.0)
-                yield f, g, wx, wy, _random_values(rng, g.domain, (mx, my))
-
-    return _run_cases("probability-affine", tol, cases())
+    gen_pairs = [(affine(g, a, b), g) for a, b, g in combos]
+    # one function per space pair: its (1, m, n) draw takes the stream's (m, n) draw
+    groups = _draw_groups(rng, [g.domain for _, g in gen_pairs], per_combo, 1, False)
+    return _run_groups("probability-affine", tol, gen_pairs, *groups)

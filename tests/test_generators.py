@@ -582,6 +582,52 @@ class TestInPlaceInverse:
         assert np.array_equal(_bits(got), _bits(want))
 
 
+# +-0, +-inf, NaN, the smallest and the largest subnormals, and ordinary values of both signs
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.2250738585072009e-308, -2.2250738585072009e-308, 1.0, -3.5, 0.25])
+_INNERS = {"identity": IdentityGenerator(), "power-1": PowerGenerator(1.0),
+           "exp": ExpGenerator(1.0), "log": LogGenerator()}
+
+
+class TestSkippedIdentityPasses:
+    """The affine wrappers skip ``y - b`` at b = +0.0 and exp skips ``/ k`` at k = 1.
+
+    Neither pass changes a bit there, special values included; at b = -0.0
+    the subtraction stays, since it turns -0.0 into +0.0 (power(1) keeps
+    the sign of a zero, so it shows the difference).
+    """
+
+    @pytest.mark.parametrize("alias", [False, True], ids=["fresh", "aliased"])
+    @pytest.mark.parametrize("b", [0.0, -0.0, 1.5])
+    @pytest.mark.parametrize("a", [2.0, -0.5, 1.0])
+    @pytest.mark.parametrize("inner", _INNERS)
+    def test_affine_inverse_is_the_two_pass_formula(self, inner, a, b, alias):
+        inner = _INNERS[inner]
+        # a scale wrapper is the affine one at b = +0.0
+        plus_zero = b == 0.0 and math.copysign(1.0, b) > 0
+        wrappers = [affine(inner, a, b)] + ([scale(inner, a)] if a > 0 and plus_zero else [])
+        with np.errstate(all="ignore"):
+            want = inner._inverse_raw(np.divide(np.subtract(_SPECIAL, b), a))
+            for gen in wrappers:
+                y = _SPECIAL.copy()
+                got = gen._inverse_raw(y, y if alias else None)
+                assert np.array_equal(_bits(got), _bits(want)), gen.describe()
+
+    def test_negative_zero_intercept_still_subtracts(self):
+        got = affine(PowerGenerator(1.0), 2.0, -0.0)._inverse_raw(np.array([-0.0]))
+        assert math.copysign(1.0, got[0]) == 1.0
+        assert math.copysign(1.0, scale(PowerGenerator(1.0), 2.0)._inverse_raw(np.array([-0.0]))[0]) == -1.0
+
+    @pytest.mark.parametrize("alias", [False, True], ids=["fresh", "aliased"])
+    @pytest.mark.parametrize("k", [1.0, -1.0, 2.0, 0.5])
+    def test_exp_inverse_is_the_two_pass_formula(self, k, alias):
+        with np.errstate(all="ignore"):
+            want = np.divide(np.log(_SPECIAL), k)
+            y = _SPECIAL.copy()
+            got = ExpGenerator(k)._inverse_raw(y, y if alias else None)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 class TestBisectionInSearches:
     """Both searches over a bisecting exp pair against its closed-form twin."""
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from qamlab import (
     scale,
 )
 from qamlab.means import mixed_means
-from qamlab.suites import _random_values, _run_cases
+from qamlab.suites import _pad, _random_values, _run_groups
 from conftest import random_in_domain
 
 
@@ -49,6 +50,30 @@ def per_case_rows(name, tol, cases):
     return rows, worst
 
 
+def groups_of(cases):
+    """``_run_groups`` input for ``(f, g, wx, wy, H)`` cases: a group per run of one (f, g), a space pair per case.
+
+    Every run must hold the same number of cases, as every group of a suite does.
+    """
+    runs = [list(run) for _, run in itertools.groupby(cases, key=lambda case: case[:2])]
+    shape = (len(runs), len(runs[0]))
+    assert all(len(run) == shape[1] for run in runs)
+    m, n = np.empty(shape, dtype=int), np.empty(shape, dtype=int)
+    wx, wy = np.zeros((*shape, 3)), np.zeros((*shape, 3))
+    values = np.empty((*shape, 1, 3, 3))
+    for i, run in enumerate(runs):
+        for p, (_, _, wx_p, wy_p, values_p) in enumerate(run):
+            m[i, p], n[i, p] = mx, my = values_p.shape
+            wx[i, p, :mx], wy[i, p, :my], values[i, p, 0, :mx, :my] = wx_p, wy_p, values_p
+    _pad(values, m, n)
+    return [run[0][:2] for run in runs], wx, wy, values, m, n
+
+
+def bits(rows):
+    """Rows with every float as its hex text, so that == compares them bit for bit."""
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+
+
 PROPORTIONAL_PAIRS = [
     (scale(g, c), g)
     for g in (ExpGenerator(-1.0), ExpGenerator(1.0), ExpGenerator(2.0),
@@ -67,7 +92,7 @@ SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3))
 
 
 def hand_built_cases():
-    """Both catalogs in all four shapes; members of a group are 16 cases apart."""
+    """Both catalogs in all four shapes, twelve cases per pair, the cases of a pair consecutive."""
     rng = np.random.default_rng(8)
     pairs = [
         (scale(ExpGenerator(2.0), 10.0), ExpGenerator(2.0), False),
@@ -75,15 +100,15 @@ def hand_built_cases():
         (affine(LogGenerator(), -2.0, 4.0), LogGenerator(), True),
         (affine(IdentityGenerator(), 3.0, -1.0), IdentityGenerator(), True),
     ]
-    cases = []
+    cases = [[] for _ in pairs]
     for _ in range(3):
         for shape in ((2, 2), (2, 3), (3, 2), (3, 3)):
-            for f, g, probability in pairs:
+            for run, (f, g, probability) in zip(cases, pairs):
                 totals = (1.0, 1.0) if probability else rng.uniform(0.2, 5.0, 2)
                 wx, wy = (rng.uniform(0.5, 1.5, size) for size in shape)
                 wx, wy = wx * (totals[0] / wx.sum()), wy * (totals[1] / wy.sum())
-                cases.append((f, g, wx, wy, random_in_domain(rng, g, shape)))
-    return cases
+                run.append((f, g, wx, wy, random_in_domain(rng, g, shape)))
+    return [case for run in cases for case in run]
 
 
 class TestSuites:
@@ -128,10 +153,11 @@ class TestSuites:
 
     def test_batched_rows_equal_per_case_rows(self):
         cases = hand_built_cases()
-        result = _run_cases("hand-built", 1e-8, cases)
+        groups = groups_of(cases)
+        result = _run_groups("hand-built", 1e-8, *groups)
         rows, worst = per_case_rows("hand-built", 1e-8, cases)
-        assert len(rows) == 48
-        assert result.rows == rows
+        assert len(rows) == 48 and len(groups[0]) == 4
+        assert bits(result.rows) == bits(rows)
         assert result.max_rel_residual == worst
 
     @pytest.mark.parametrize("h_per_pair", [0, 1, 5])
@@ -164,12 +190,10 @@ class TestSuites:
                       (half, half, np.full((2, 2), 400.0))]        # exp overflows to inf
             wx, wy = np.zeros((len(cases), 3)), np.zeros((len(cases), 3))
             values = np.empty((len(cases), 3, 3))
+            m, n = (np.array(dims) for dims in zip(*(case[2].shape for case in cases)))
             for b, (wx_b, wy_b, values_b) in enumerate(cases):
-                m, n = values_b.shape
-                wx[b, :m], wy[b, :n] = wx_b, wy_b
-                values[b, :m, :n] = values_b
-                values[b, :m, n:] = values_b[:, :1]    # pad Y atoms repeat the first column
-                values[b, m:] = values[b, :1]          # pad X atoms repeat the first row
+                wx[b, :m[b]], wy[b, :n[b]], values[b, :m[b], :n[b]] = wx_b, wy_b, values_b
+            _pad(values[:, None], m, n)
             padded = mixed_means(f, g, wx, wy, values)
             alone = [np.array(side) for side in zip(*(mixed_means(f, g, *case) for case in cases))]
             # bit for bit, so the NaN sides of the failing cases too
@@ -179,7 +203,8 @@ class TestSuites:
         assert failed > 0
 
     def test_first_failing_case_in_case_order_across_shape_runs(self):
-        # run order puts both 2x2 cases first, so the later 2x2 failure is met first
+        # one group of three shapes: the failing 3x3 pair sits between two 2x2 pairs, the
+        # second of which fails too; grouping by shape would meet that 2x2 failure first
         f, g = SHIFTED
         half, third = np.array([0.5, 0.5]), np.full(3, 0.1)
         cases = [(f, g, half, half, np.zeros((2, 2))),
@@ -188,15 +213,18 @@ class TestSuites:
 
         with pytest.raises(RangeError) as expected:
             per_case_rows("errors", 1e-8, cases)
+        groups = groups_of(cases)
+        assert len(groups[0]) == 1
         with pytest.raises(RangeError) as err:
-            _run_cases("errors", 1e-8, cases)
+            _run_groups("errors", 1e-8, *groups)
         assert "X atom 2" in str(expected.value)
         assert err.value.stage == expected.value.stage == "inner-Y"
         assert str(err.value) == str(expected.value)
 
     @pytest.mark.parametrize("boundary_first", [False, True])
     def test_raises_the_error_of_the_first_failing_case(self, boundary_first):
-        # the later failing case sits in the group that is evaluated first
+        # three groups, of which the second and the third fail: the third is
+        # the first pair's again, whose first group passes
         boundary, shifted = BOUNDARY, SHIFTED
         half, small = np.array([0.5, 0.5]), np.array([0.1, 0.1])
         boundary_cases = [(*boundary, half, half, np.full((2, 2), 0.7)),
@@ -210,7 +238,89 @@ class TestSuites:
         with pytest.raises(RangeError) as expected:
             per_case_rows("errors", 1e-8, cases)
         with pytest.raises(RangeError) as err:
-            _run_cases("errors", 1e-8, cases)
+            _run_groups("errors", 1e-8, *groups_of(cases))
         assert expected.value.stage == ("outer-X" if boundary_first else "inner-Y")
         assert err.value.stage == expected.value.stage
         assert str(err.value) == str(expected.value)
+
+
+def per_pair_cases(suite, seed, size, h_per_pair=5):
+    """Reference: the suites' draws one space pair at a time, as ``(f, g, wx, wy, H)`` cases.
+
+    ``size`` is ``pairs_per_combo`` of the finite-measure suite and
+    ``trials`` of the probability suite.  Also returns how often a total
+    mass was drawn again for landing within 1e-3 of 1.
+    """
+    rng = np.random.default_rng(seed)
+    redraws = 0
+
+    def total_mass():
+        nonlocal redraws
+        while True:
+            mass = rng.uniform(0.2, 5.0)
+            if abs(mass - 1.0) > 1e-3:
+                return mass
+            redraws += 1
+
+    def masses(n_atoms, total):
+        raw = rng.uniform(0.5, 1.5, n_atoms)
+        return raw * (total / raw.sum())
+
+    cases = []
+    if suite == "finite":
+        for f, g in PROPORTIONAL_PAIRS:
+            for _ in range(size):
+                mx, my = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+                wx = masses(mx, total_mass())
+                wy = masses(my, total_mass())
+                cases += [(f, g, wx, wy, values) for values in
+                          _random_values(rng, g.domain, (h_per_pair, mx, my))]
+    else:
+        for f, g in AFFINE_PAIRS:
+            for _ in range(-(-size // len(AFFINE_PAIRS))):
+                mx, my = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+                wx, wy = masses(mx, 1.0), masses(my, 1.0)
+                cases.append((f, g, wx, wy, _random_values(rng, g.domain, (mx, my))))
+    return cases, redraws
+
+
+class TestPerPairReference:
+    """Both suites' rows equal the per-pair draws' per-case rows, bit for bit."""
+
+    @pytest.mark.parametrize("seed, pairs_per_combo, h_per_pair",
+                             [(3, 4, 2), (9, 10, 5), (11, 2, 1), (13, 10, 5), (13, 3, 0)])
+    def test_finite_measure_suite(self, seed, pairs_per_combo, h_per_pair):
+        cases, redraws = per_pair_cases("finite", seed, pairs_per_combo, h_per_pair)
+        result = run_finite_measure_suite(seed, 1e-8, pairs_per_combo, h_per_pair)
+        rows, worst = per_case_rows("finite-measure-proportional", 1e-8, cases)
+        assert len(rows) == 18 * pairs_per_combo * h_per_pair
+        assert bits(result.rows) == bits(rows)
+        assert result.max_rel_residual.hex() == worst.hex()
+        # seed 13's draws take the redraw branch of the total masses
+        assert (redraws > 0) == (seed == 13 and pairs_per_combo == 10)
+
+    @pytest.mark.parametrize("seed, trials", [(3, 100), (9, 36), (11, 1), (13, 72), (13, 0)])
+    def test_probability_suite(self, seed, trials):
+        cases, _ = per_pair_cases("probability", seed, trials)
+        result = run_probability_suite(seed, 1e-8, trials)
+        rows, worst = per_case_rows("probability-affine", 1e-8, cases)
+        assert len(rows) == 36 * -(-trials // 36)
+        assert bits(result.rows) == bits(rows)
+        assert result.max_rel_residual.hex() == worst.hex()
+
+
+class TestNegativeCounts:
+    @pytest.mark.parametrize("kwargs", [{"pairs_per_combo": -1}, {"h_per_pair": -1},
+                                        {"pairs_per_combo": -3, "h_per_pair": 2}])
+    def test_finite_measure_suite_rejects_a_negative_count(self, kwargs):
+        name = next(k for k, v in kwargs.items() if v < 0)
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative count, got -"):
+            run_finite_measure_suite(seed=1, **kwargs)
+
+    def test_probability_suite_rejects_negative_trials(self):
+        with pytest.raises(ValueError, match="^trials must be a non-negative count, got -5$"):
+            run_probability_suite(seed=1, trials=-5)
+
+    def test_zero_counts_draw_no_cases(self):
+        assert run_finite_measure_suite(seed=1, pairs_per_combo=0).n_cases == 0
+        assert run_probability_suite(seed=1, trials=0).n_cases == 0
