@@ -167,11 +167,32 @@ def _to_csv(doc: dict) -> str:
     return buf.getvalue()
 
 
+# a suite row's keys at the indent=2 layout's depth, and its neighbours
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _to_json(doc: object) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, its suite rows written by the C encoder.
+
+    ``indent`` forces json's pure-Python encoder, which takes most of a
+    ``suite`` run.  A suite row is a flat dict of numbers, strings and
+    bools, so the C encoder writes its ``indent=2`` text once its braces
+    are put on their own lines; the rows are spliced into the dump of the
+    rest of the document, where an empty list stands in for them.
+    """
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not rows:
+        return json.dumps(doc, indent=2, sort_keys=True)
+    head, tail = json.dumps({**doc, "rows": []}, indent=2, sort_keys=True).split('\n  "rows": []')
+    body = ",\n    ".join(["{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }" for row in rows])
+    return f'{head}\n  "rows": [\n    {body}\n  ]{tail}'
+
+
 def _write(doc: object, args: argparse.Namespace) -> None:
     if getattr(args, "format", "json") == "csv":
         text = _to_csv(doc)
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _to_json(doc) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -7,15 +7,16 @@ f = c*g over positive bijections on arbitrary finite masses; the affine
 suite pairs f = a*g + b over real-valued injections on probability
 spaces.  All randomness flows from one seed, so runs are reproducible.
 
-Each (f, g) combination is one group.  Its space pairs are drawn, one
-pair at a time and in a fixed order from one RNG stream, straight into
-the group's batch arrays, with every pair padded to 3 x 3 atoms by atoms
-of zero mass, and the group is evaluated by one call of the
-``mixed_means`` kernel.  Drawing into the batch changes no RNG call and
-padding changes no bit: each case's sides equal those of
-``commutation_residual`` bit for bit, and a failing case raises the same
-stage-tagged RangeError, that of the first failing case in case order.
-Rows are built in case order, each pair's masses formatted once.
+Each (f, g) combination is one group.  Its space pairs are drawn in a
+fixed order from one RNG stream, each pair's doubles in one block, and
+put into the group's batch arrays, with every pair padded to 3 x 3
+atoms by atoms of zero mass; the group is evaluated by one call of the
+``mixed_means`` kernel.  The blocks keep the same stream, bit for bit,
+as one RNG call per draw, and padding changes no bit: each case's sides
+equal those of ``commutation_residual`` bit for bit, and a failing case
+raises the same stage-tagged RangeError, that of the first failing case
+in case order.  Rows are built in case order, each pair's masses
+formatted once.
 """
 
 from __future__ import annotations
@@ -26,16 +27,8 @@ from itertools import islice
 
 import numpy as np
 
-from .generators import (
-    ExpGenerator,
-    Generator,
-    IdentityGenerator,
-    Interval,
-    LogGenerator,
-    PowerGenerator,
-    affine,
-    scale,
-)
+from .generators import (ExpGenerator, Generator, IdentityGenerator, Interval, LogGenerator,
+                         PowerGenerator, affine, scale)
 from .means import _case_sides, mixed_means
 from .residuals import DEFAULT_ZERO_TOL, _relative_residuals
 
@@ -71,22 +64,53 @@ class SuiteResult:
         }
 
 
-def _random_total_mass(rng: np.random.Generator) -> float:
-    # finite masses in [0.2, 5], avoiding the probability-space point
-    while True:
-        mass = rng.uniform(0.2, 5.0)
-        if abs(mass - 1.0) > 1e-3:
-            return mass
+# A value law ``(low, span, positive)`` maps a double u of ``Generator.random`` to
+# ``low + span * u``, the bits of numpy's ``uniform(low, low + span)``, then to its
+# exp when ``positive``.
+_MASSES = (0.5, 1.5 - 0.5, False)    # raw atom masses, scaled to their total afterwards
+_TOTALS = (0.2, 5.0 - 0.2, False)    # finite total masses, drawn again within 1e-3 of 1
 
 
-def _random_values(rng: np.random.Generator, domain: Interval, shape) -> np.ndarray:
-    if math.isinf(domain.lower) and math.isinf(domain.upper):
-        return rng.uniform(-2.0, 2.0, shape)
-    if domain.lower == 0.0 and math.isinf(domain.upper):
-        return np.exp(rng.uniform(math.log(0.2), math.log(5.0), shape))
-    lo, hi = domain.lower, domain.upper
-    span = hi - lo
-    return rng.uniform(lo + 0.1 * span, hi - 0.1 * span, shape)
+def _value_law(domain: Interval) -> tuple[float, float, bool]:
+    """The value law of the functions drawn on ``domain``, well inside it."""
+    low, high, positive = domain.lower, domain.upper, False
+    if math.isinf(low) and math.isinf(high):
+        low, high = -2.0, 2.0
+    elif low == 0.0 and math.isinf(high):
+        low, high, positive = math.log(0.2), math.log(5.0), True
+    else:
+        low, high = low + 0.1 * (high - low), high - 0.1 * (high - low)
+    return low, high - low, positive
+
+
+def _apply(law: tuple[float, float, bool], u: np.ndarray) -> np.ndarray:
+    """The draws of ``law`` from the doubles ``u``, computed in place."""
+    low, span, positive = law
+    u *= span
+    u += low
+    return np.exp(u, out=u) if positive else u
+
+
+def _near_one(u: float) -> bool:
+    """Whether the total mass drawn from the double ``u`` lands within 1e-3 of 1."""
+    low, span, _ = _TOTALS
+    return abs(low + span * u - 1.0) <= 1e-3
+
+
+def _redraw_totals(rng: np.random.Generator, u: np.ndarray, mx: int) -> np.ndarray:
+    """A finite pair's block without its totals within 1e-3 of 1, each replaced by the next double.
+
+    The doubles the block then lacks at its end are drawn with one more call.
+    """
+    size = u.size
+    for i in (0, mx + 1):    # the X total, then the Y total
+        while True:
+            if i >= u.size:
+                u = np.append(u, rng.random(i + 1 - u.size))
+            if not _near_one(u[i]):
+                break
+            u = np.delete(u, i)
+    return np.append(u, rng.random(size - u.size))
 
 
 def _check_counts(**counts) -> None:
@@ -113,32 +137,44 @@ def _draw_groups(rng: np.random.Generator, domains: list[Interval],
     Returns ``wx[G, P, 3]``, ``wy[G, P, 3]``, ``values[G, P, h, 3, 3]``,
     ``m[G, P]`` and ``n[G, P]``, group i drawn on ``domains[i]``: pair
     (i, p) has m[i, p] X and n[i, p] Y atoms, the masses of the atoms
-    past them are 0.0, and ``_pad`` fills their values.  The RNG calls
-    are those of drawing one pair at a time, in the same order: the two
-    atom counts, then per side a total mass when ``finite`` (1.0
-    otherwise) and the raw masses, then all h functions in one draw.  The
-    raw masses are scaled to their totals with one row sum for all the
-    groups; a pad slot's 0.0 changes no sum, so every mass has the bits
-    of the pair drawn alone.
+    past them are 0.0, and ``_pad`` fills their values.  Each pair draws
+    its two atom counts, then all its doubles in one block: per side a
+    total mass when ``finite`` (1.0 otherwise) and the raw masses, then
+    all h functions.  This is the same stream, bit for bit, as one RNG
+    call per draw.  After the loop each kind of draw is cut from the
+    stream with one mask and put in place with one more.  The raw masses
+    are scaled to their totals with one row sum; a pad slot's 0.0 changes
+    no sum, so every mass has the bits of the pair drawn alone.
     """
     shape = (len(domains), pairs)
-    m, n = np.empty(shape, dtype=int), np.empty(shape, dtype=int)
+    counts, blocks = [], []
+    for _ in range(shape[0] * pairs):
+        mx, my = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        counts.append((mx, my))
+        u = rng.random(2 * finite + mx + my + h * mx * my)
+        if finite and (_near_one(u.item(0)) or _near_one(u.item(mx + 1))):
+            u = _redraw_totals(rng, u, mx)
+        blocks.append(u)
+    m, n = np.array(counts, dtype=int).reshape(*shape, 2).transpose(2, 0, 1)
+    # a block's five runs: the X total, the X masses, the Y total, the Y masses, the values
+    runs = np.stack([np.full(shape, int(finite)), m, np.full(shape, int(finite)), n, h * m * n], -1)
+    kind = np.repeat(np.tile(np.arange(5), m.size), runs.ravel())
+    stream = np.concatenate([np.empty(0), *blocks])
+
+    atoms = np.arange(3)
     wx, wy = np.zeros((*shape, 3)), np.zeros((*shape, 3))
-    total_x, total_y = np.ones(shape), np.ones(shape)
+    for k, w, count in ((0, wx, m), (2, wy, n)):
+        w[atoms < count[..., None]] = _apply(_MASSES, stream[kind == k + 1])
+        total = _apply(_TOTALS, stream[kind == k]).reshape(shape) if finite else 1.0
+        w *= (total / w.sum(axis=-1))[..., None]
+
+    drawn = stream[kind == 4]
+    ends = np.cumsum(runs[..., 4].sum(axis=1)).tolist()
+    for domain, start, end in zip(domains, [0, *ends], ends):
+        _apply(_value_law(domain), drawn[start:end])
     values = np.empty((*shape, h, 3, 3))
-    for i, domain in enumerate(domains):
-        for p in range(pairs):
-            m[i, p] = mx = int(rng.integers(2, 4))
-            n[i, p] = my = int(rng.integers(2, 4))
-            if finite:
-                total_x[i, p] = _random_total_mass(rng)
-            wx[i, p, :mx] = rng.uniform(0.5, 1.5, mx)
-            if finite:
-                total_y[i, p] = _random_total_mass(rng)
-            wy[i, p, :my] = rng.uniform(0.5, 1.5, my)
-            values[i, p, :, :mx, :my] = _random_values(rng, domain, (h, mx, my))
-    wx *= (total_x / wx.sum(axis=-1))[..., None]
-    wy *= (total_y / wy.sum(axis=-1))[..., None]
+    real = (atoms < m[..., None])[..., None, :, None] & (atoms < n[..., None])[..., None, None, :]
+    values[np.broadcast_to(real, values.shape)] = drawn
     _pad(values, m, n)
     return wx, wy, values, m, n
 

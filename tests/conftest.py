@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qamlab import (
     ExpGenerator,
@@ -11,6 +12,14 @@ from qamlab import (
     LogGenerator,
     PowerGenerator,
 )
+
+# The tier-1 policy: every @given test runs the same derandomized examples,
+# so a run's verdict depends on the code alone.  The "randomized" profile
+# (``pytest -m hypothesis --hypothesis-profile=randomized``) draws fresh
+# examples on each run, to find draws that the fixed ones miss.
+settings.register_profile("tier-1", derandomize=True)
+settings.register_profile("randomized", derandomize=False)
+settings.load_profile("tier-1")
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import qamlab
 from qamlab import (DiscreteMeasureSpace, SimpleFunctionMatrix, block_witness_search,
                     full_witness_search, generator_from_json, run_diagnostics,
                     run_finite_measure_suite, run_probability_suite)
-from qamlab.cli import build_parser, main
+from qamlab.cli import _to_json, build_parser, main
 
 
 def write(path, doc):
@@ -213,6 +213,19 @@ class TestSuiteAndPhi:
             "finite-measure-proportional", "probability-affine",
         }
         assert len(doc["rows"]) == sum(s["cases"] for s in doc["summaries"])
+
+    def test_suite_json_writer_is_the_indented_dump(self):
+        fm = run_finite_measure_suite(seed=3, pairs_per_combo=2, h_per_pair=2)
+        odd = {"case": -1, "f": 'a "quoted"\nname', "lhs": float("nan"), "pass": False, "rhs": 1e300}
+        documents = [
+            {"command": "suite", "seed": 3, "summaries": [fm.summary()], "rows": fm.rows, "pass": True},
+            {"command": "suite", "seed": 3, "summaries": [], "rows": [odd, odd], "pass": False},
+            {"command": "suite", "seed": 3, "summaries": [], "rows": [], "pass": True},
+            {"command": "phi", "checks": [{"check": "x", "pass": True}]},
+            "none",
+        ]
+        for doc in documents:
+            assert _to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     def test_suite_output_in_a_missing_directory_is_malformed_input(self, docs, capsys):
         out = docs["tmp"] / "absent" / "suite.json"

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qamlab import DiscreteMeasureSpace, ProductGrid
@@ -99,6 +101,8 @@ class TestIntegrate:
         st.floats(min_value=-10, max_value=10, allow_nan=False),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
+    # terms of about 3 000 cancel to about -1: the sides differ by 1.1e-12
+    @example([669.0, 599.0, 607.0, 675.0, 607.0, 644.0, 632.0, 1.0], 1.0, 1.0, 2165399)
     def test_linearity(self, weights, a, b, seed):
         space = DiscreteMeasureSpace(weights)
         rng = np.random.default_rng(seed)
@@ -106,7 +110,16 @@ class TestIntegrate:
         v = rng.uniform(-5.0, 5.0, len(space))
         combined = space.integrate(a * u + b * v)
         split = a * space.integrate(u) + b * space.integrate(v)
-        assert combined == pytest.approx(split, rel=1e-12, abs=1e-12)
+        # Both sides sum the 2n products a*w_i*u_i and b*w_i*v_i, each through at most
+        # n + 2 roundings (its product, the pair's or the final addition, the weight and
+        # n - 1 in the sum), so each side is within gamma_{n+2} * sum|products| of the
+        # exact sum (Higham 2002, chapters 3 and 4), and the two within twice that.  A
+        # product that underflows loses up to 2**-1074 instead, scaled by its weight.
+        w, n = space.weights, len(space)
+        gamma = (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
+        products = np.abs(a * w * u).sum() + np.abs(b * w * v).sum()
+        bound = 2 * gamma * products + 2 * (w.sum() + 2 * n + 1) * math.ulp(0.0)
+        assert abs(combined - split) <= bound
 
 
 class TestJson:

@@ -21,8 +21,20 @@ from qamlab import (
     scale,
 )
 from qamlab.means import mixed_means
-from qamlab.suites import _pad, _random_values, _run_groups
+from qamlab.suites import (_MASSES, _TOTALS, _apply, _near_one, _pad, _redraw_totals, _run_groups,
+                           _value_law)
 from conftest import random_in_domain
+
+
+def random_values(rng, domain, shape):
+    """Reference: the suites' function values drawn with numpy's ``uniform``, well inside ``domain``."""
+    if math.isinf(domain.lower) and math.isinf(domain.upper):
+        return rng.uniform(-2.0, 2.0, shape)
+    if domain.lower == 0.0 and math.isinf(domain.upper):
+        return np.exp(rng.uniform(math.log(0.2), math.log(5.0), shape))
+    lo, hi = domain.lower, domain.upper
+    span = hi - lo
+    return rng.uniform(lo + 0.1 * span, hi - 0.1 * span, shape)
 
 
 def per_case_rows(name, tol, cases):
@@ -160,17 +172,6 @@ class TestSuites:
         assert bits(result.rows) == bits(rows)
         assert result.max_rel_residual == worst
 
-    @pytest.mark.parametrize("h_per_pair", [0, 1, 5])
-    @pytest.mark.parametrize("domain", [Interval(-math.inf, math.inf),
-                                        Interval(0.0, math.inf), Interval(0.5, 3.0)])
-    def test_one_draw_per_space_pair_is_the_same_stream(self, domain, h_per_pair):
-        whole, parts = np.random.default_rng(17), np.random.default_rng(17)
-        drawn = _random_values(whole, domain, (h_per_pair, 2, 3))
-        expected = np.array([_random_values(parts, domain, (2, 3)) for _ in range(h_per_pair)])
-        assert drawn.shape == (h_per_pair, 2, 3)
-        assert np.array_equal(drawn.view(np.int64), expected.reshape(drawn.shape).view(np.int64))
-        assert whole.bit_generator.state == parts.bit_generator.state
-
     def test_no_functions_per_pair_draws_no_cases(self):
         assert run_finite_measure_suite(seed=4, pairs_per_combo=2, h_per_pair=0).n_cases == 0
 
@@ -244,23 +245,76 @@ class TestSuites:
         assert str(err.value) == str(expected.value)
 
 
+LAWS = {
+    "real line": (-2.0, 2.0, Interval(-math.inf, math.inf)),
+    "half line, log space": (math.log(0.2), math.log(5.0), Interval(0.0, math.inf)),
+    "interval": (0.75, 2.75, Interval(0.5, 3.0)),
+    "masses": (0.5, 1.5, None),
+    "totals": (0.2, 5.0, None),
+}
+
+
+class TestStreamIdentity:
+    """One ``random(k)`` block mapped through ``low + (high - low) * u`` is numpy's ``uniform(low, high, k)``."""
+
+    @pytest.mark.parametrize("k", [1, 7, 45])
+    @pytest.mark.parametrize("law", LAWS, ids=list(LAWS))
+    def test_block_is_uniform_bit_for_bit(self, law, k):
+        low, high, _ = LAWS[law]
+        block, direct = np.random.default_rng(17), np.random.default_rng(17)
+        drawn = low + (high - low) * block.random(k)
+        assert np.array_equal(drawn.view(np.int64), direct.uniform(low, high, k).view(np.int64))
+        assert block.bit_generator.state == direct.bit_generator.state
+
+    @pytest.mark.parametrize("law", LAWS, ids=list(LAWS))
+    def test_suite_laws_are_those_uniforms(self, law):
+        low, high, domain = LAWS[law]
+        suite_law = {"masses": _MASSES, "totals": _TOTALS}.get(law) or _value_law(domain)
+        assert suite_law == (low, high - low, domain is not None and domain.lower == 0.0)
+        block, direct = np.random.default_rng(5), np.random.default_rng(5)
+        drawn = _apply(suite_law, block.random(30))
+        expected = random_values(direct, domain, 30) if domain else direct.uniform(low, high, 30)
+        assert np.array_equal(drawn.view(np.int64), expected.view(np.int64))
+
+    # the block of two 2-atom sides and no or two functions, its totals at 0 and 3; the
+    # redraws of the first two run past its end into the doubles drawn after it
+    NEAR = 0.8 / 4.8
+
+    @pytest.mark.parametrize("head, redraws", [
+        ([NEAR] * 6, (6, 0)),
+        ([0.5, 0.1, 0.2, NEAR, NEAR, NEAR], (0, 3)),
+        ([NEAR, 0.5, 0.1, 0.2, NEAR, 0.5, 0.3, 0.4] + [0.6] * 6, (1, 1)),
+    ], ids=["x-past-the-end", "y-past-the-end", "within-the-block"])
+    def test_redraws_keep_the_stream(self, head, redraws):
+        assert _near_one(self.NEAR) and not _near_one(0.5)
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        block = _redraw_totals(rng, np.array(head), 2)
+        rx, ry = redraws
+        stream = np.concatenate([head, reference.random(rx + ry)])
+        expected = np.delete(stream, [*range(rx), *range(rx + 3, rx + 3 + ry)])
+        assert all(_near_one(u) for u in stream[:rx]) and not _near_one(stream[rx])
+        assert all(_near_one(u) for u in stream[rx + 3:rx + 3 + ry])
+        assert not _near_one(stream[rx + 3 + ry])
+        assert np.array_equal(block, expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def per_pair_cases(suite, seed, size, h_per_pair=5):
     """Reference: the suites' draws one space pair at a time, as ``(f, g, wx, wy, H)`` cases.
 
     ``size`` is ``pairs_per_combo`` of the finite-measure suite and
-    ``trials`` of the probability suite.  Also returns how often a total
-    mass was drawn again for landing within 1e-3 of 1.
+    ``trials`` of the probability suite.  Also returns how often an X and
+    a Y total mass were drawn again for landing within 1e-3 of 1.
     """
     rng = np.random.default_rng(seed)
-    redraws = 0
+    redraws = [0, 0]
 
-    def total_mass():
-        nonlocal redraws
+    def total_mass(axis):
         while True:
             mass = rng.uniform(0.2, 5.0)
             if abs(mass - 1.0) > 1e-3:
                 return mass
-            redraws += 1
+            redraws[axis] += 1
 
     def masses(n_atoms, total):
         raw = rng.uniform(0.5, 1.5, n_atoms)
@@ -271,33 +325,37 @@ def per_pair_cases(suite, seed, size, h_per_pair=5):
         for f, g in PROPORTIONAL_PAIRS:
             for _ in range(size):
                 mx, my = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-                wx = masses(mx, total_mass())
-                wy = masses(my, total_mass())
+                wx = masses(mx, total_mass(0))
+                wy = masses(my, total_mass(1))
                 cases += [(f, g, wx, wy, values) for values in
-                          _random_values(rng, g.domain, (h_per_pair, mx, my))]
+                          random_values(rng, g.domain, (h_per_pair, mx, my))]
     else:
         for f, g in AFFINE_PAIRS:
             for _ in range(-(-size // len(AFFINE_PAIRS))):
                 mx, my = int(rng.integers(2, 4)), int(rng.integers(2, 4))
                 wx, wy = masses(mx, 1.0), masses(my, 1.0)
-                cases.append((f, g, wx, wy, _random_values(rng, g.domain, (mx, my))))
+                cases.append((f, g, wx, wy, random_values(rng, g.domain, (mx, my))))
     return cases, redraws
 
 
 class TestPerPairReference:
     """Both suites' rows equal the per-pair draws' per-case rows, bit for bit."""
 
+    # the X and Y redraws of the draws that redraw a total: seed 8 an X total, seed 13 at
+    # 10 pairs a Y total, seed 18 two X totals
+    REDRAWS = {(8, 4, 2): [1, 0], (13, 10, 5): [0, 1], (18, 10, 1): [2, 0]}
+
     @pytest.mark.parametrize("seed, pairs_per_combo, h_per_pair",
-                             [(3, 4, 2), (9, 10, 5), (11, 2, 1), (13, 10, 5), (13, 3, 0)])
+                             [(3, 4, 2), (9, 10, 5), (11, 2, 1), (13, 10, 5), (13, 3, 0),
+                              (8, 4, 2), (18, 10, 1)])
     def test_finite_measure_suite(self, seed, pairs_per_combo, h_per_pair):
-        cases, redraws = per_pair_cases("finite", seed, pairs_per_combo, h_per_pair)
+        cases, drawn_again = per_pair_cases("finite", seed, pairs_per_combo, h_per_pair)
         result = run_finite_measure_suite(seed, 1e-8, pairs_per_combo, h_per_pair)
         rows, worst = per_case_rows("finite-measure-proportional", 1e-8, cases)
         assert len(rows) == 18 * pairs_per_combo * h_per_pair
         assert bits(result.rows) == bits(rows)
         assert result.max_rel_residual.hex() == worst.hex()
-        # seed 13's draws take the redraw branch of the total masses
-        assert (redraws > 0) == (seed == 13 and pairs_per_combo == 10)
+        assert drawn_again == self.REDRAWS.get((seed, pairs_per_combo, h_per_pair), [0, 0])
 
     @pytest.mark.parametrize("seed, trials", [(3, 100), (9, 36), (11, 1), (13, 72), (13, 0)])
     def test_probability_suite(self, seed, trials):
