@@ -148,22 +148,18 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, object]:
 # ---------------------------------------------------------------------------
 
 def _to_csv(doc: dict) -> str:
+    """A document's rows as CSV, each with the first row's keys in order; dicts and lists as JSON."""
     if "rows" in doc:
         rows = doc["rows"]
     elif "checks" in doc:
         rows = doc["checks"]
     else:
         rows = [doc]
-    columns = list(rows[0].keys())
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
-    writer.writeheader()
-    for row in rows:
-        flat = {
-            k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
-            for k, v in row.items()
-        }
-        writer.writerow(flat)
+    writer = csv.writer(buf)
+    writer.writerow(rows[0])
+    writer.writerows([json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+                      for v in row.values()] for row in rows)
     return buf.getvalue()
 
 

@@ -282,13 +282,16 @@ def _into(result, out: np.ndarray | None = None):
     return out
 
 
-def _masked(raw, valid: Interval, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _masked(raw, valid: Interval, x: np.ndarray, out: np.ndarray | None = None,
+            extremes=None) -> np.ndarray:
     """``raw(x)``, or ``raw(x, out)``, with NaN where x is outside ``valid``.
 
-    Only the fallback for a partly invalid x builds a mask, and only it
-    allocates when ``out`` is given.
+    ``extremes``, x's NaN-propagating least and greatest element when the
+    caller knows them, are range-tested in place of x.  Only the fallback
+    for a partly invalid x builds a mask, and only it allocates when
+    ``out`` is given.
     """
-    if valid.contains_all(x):
+    if valid.contains_all(x if extremes is None else extremes):
         return raw(x) if out is None else raw(x, out)
     ok = valid.contains(x)
     return _into(np.where(ok, raw(np.where(ok, x, _interior_seed(valid))), np.nan), out)
@@ -299,12 +302,14 @@ def masked_eval(gen: Generator, x: np.ndarray) -> np.ndarray:
     return _masked(gen._eval_raw, gen.domain, x)
 
 
-def masked_inverse(gen: Generator, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def masked_inverse(gen: Generator, y: np.ndarray, out: np.ndarray | None = None,
+                   extremes=None) -> np.ndarray:
     """``gen._inverse_raw`` with NaN, instead of an error, outside the range.
 
-    Writes into ``out`` when one is given; ``out`` may be ``y``.
+    Writes into ``out`` when one is given; ``out`` may be ``y``.  Given
+    ``extremes``, y's least and greatest element, it tests those instead.
     """
-    return _masked(gen._inverse_raw, gen.codomain, y, out)
+    return _masked(gen._inverse_raw, gen.codomain, y, out, extremes)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -385,11 +390,6 @@ def _walk(gen: Generator, need: int = 0):
     return walk
 
 
-def _bisect_scalar(gen: Generator, y: float) -> float:
-    """The inverse of one value: ``_bisect_elements`` of a one-element list."""
-    return _bisect_elements(gen, [y])[0]
-
-
 def _bisect_elements(gen: Generator, ys: list[float]) -> list[float]:
     """The inverse of each value, from the first piece of the walk that straddles it."""
     lift, pieces, more = _walk(gen)
@@ -467,7 +467,7 @@ def _falsi_scalar(raw, lift, y: float, piece: tuple) -> float:
 
 
 def _bisect_array(gen: Generator, y: np.ndarray) -> np.ndarray:
-    """``_bisect_scalar`` of every element of a flat array, as one masked loop.
+    """``_bisect_elements`` of a flat array, as one masked loop.
 
     Each element gets the first piece of the walk that straddles it and
     then takes the steps ``_falsi_scalar`` would, in the same operations on

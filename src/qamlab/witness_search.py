@@ -35,9 +35,13 @@ sums at the shape of the digits they read.  A batch is range-tested from
 its tables: each weighted table keeps, per prefix of lead digits, its
 NaN-propagating minimum and maximum over its trailing digits, and as
 rounded addition is monotone and the tables read disjoint digits, their
-sums in the same order are exactly the batch's least and greatest sum
-(``_inverse_within``).  ``np.argmax`` returns the first NaN, so only a
-batch whose best residual is NaN counts its skipped candidates.
+sums in the same order are exactly the batch's least and greatest sum.
+Every batch inverts through ``masked_inverse``, the kernel's rule that a
+side outside a generator's range is NaN: it tests the two extremes in
+place of the batch, or, for the per-batch table of a one-atom side,
+which has none, the whole batch.  ``np.argmax`` returns the first NaN,
+so only a batch whose best residual is NaN counts its skipped
+candidates.
 """
 
 from __future__ import annotations
@@ -212,17 +216,6 @@ def _weighted_sum(products: list, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(partial, products[-1], out=out)
 
 
-def _inverse_within(gen: Generator, bounds, y: np.ndarray) -> np.ndarray:
-    """``gen``'s inverse of a batch's sums ``y``, in place, with NaN outside its range.
-
-    ``bounds``, the least and the greatest sum or None, replace
-    ``masked_inverse``'s two reductions over the batch.
-    """
-    if bounds is not None and gen.codomain.contains_all(bounds):
-        return gen._inverse_raw(y, y)
-    return masked_inverse(gen, y, y)
-
-
 def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts: np.ndarray):
     """Both means of every value matrix of shape (wx.size, wy.size) on the grid.
 
@@ -280,8 +273,8 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
 
     def sides(start: int, lhs: np.ndarray, rhs: np.ndarray):
         with np.errstate(all="ignore"):
-            return (_inverse_within(f, row_sum(start, lhs), lhs),
-                    _inverse_within(g, col_sum(start, rhs), rhs))
+            return (masked_inverse(f, lhs, lhs, row_sum(start, lhs)),
+                    masked_inverse(g, rhs, rhs, col_sum(start, rhs)))
 
     return sides, npts**digits, batch
 

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import inspect
 import json
 import math
@@ -15,7 +17,7 @@ import qamlab
 from qamlab import (DiscreteMeasureSpace, SimpleFunctionMatrix, block_witness_search,
                     full_witness_search, generator_from_json, run_diagnostics,
                     run_finite_measure_suite, run_probability_suite)
-from qamlab.cli import _to_json, build_parser, main
+from qamlab.cli import _to_csv, _to_json, build_parser, main
 
 
 def write(path, doc):
@@ -284,6 +286,72 @@ class TestSuiteAndPhi:
         code = main(["phi", "--f", docs["exp1"], "--g", docs["exp2"], f"--space-{axis}", three])
         assert code == 2
         assert f"phi diagnostics need a two-atom {axis.upper()} space" in capsys.readouterr().err
+
+
+def dictwriter_csv(doc):
+    """The CSV writer ``_to_csv`` replaced: ``csv.DictWriter`` over a JSON-flattened copy of each row."""
+    if "rows" in doc:
+        rows = doc["rows"]
+    elif "checks" in doc:
+        rows = doc["checks"]
+    else:
+        rows = [doc]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), extrasaction="ignore")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+                         for k, v in row.items()})
+    return buf.getvalue()
+
+
+class TestCsvWriter:
+    """``_to_csv`` writes each row's values, byte for byte as ``csv.DictWriter`` wrote the rows."""
+
+    @staticmethod
+    def command_doc(argv):
+        args = build_parser().parse_args(argv)
+        return args.run(args)[1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_suite_document(self, seed):
+        fm = run_finite_measure_suite(seed=seed, pairs_per_combo=3, h_per_pair=2)
+        pr = run_probability_suite(seed=seed, trials=12)
+        doc = {"command": "suite", "seed": seed, "summaries": [fm.summary(), pr.summary()],
+               "rows": fm.rows + pr.rows, "pass": fm.passed and pr.passed}
+        assert len(doc["rows"]) > 12
+        assert _to_csv(doc) == dictwriter_csv(doc)
+
+    @pytest.mark.parametrize("pair", [("exp1", "exp2"), ("double_exp1", "exp1"), ("exp2", "exp1")])
+    def test_phi_and_check_documents(self, docs, pair):
+        f, g = docs[pair[0]], docs[pair[1]]
+        phi = self.command_doc(["phi", "--f", f, "--g", g])
+        check = self.command_doc(["check", "--f", f, "--g", g, "--space-x", docs["unit2"],
+                                  "--space-y", docs["tiny2"], "--h", docs["h"]])
+        # phi's rows hold None sides and dict inputs; check's one row holds the input documents
+        assert any(row["lhs"] is None for row in phi["checks"])
+        assert isinstance(check["h"], dict)
+        for doc in (phi, check):
+            assert _to_csv(doc) == dictwriter_csv(doc)
+
+    def test_rows_of_scalars_and_awkward_strings(self):
+        rows = [
+            {"name": 'a, "quoted"\nname', "value": None, "pass": True, "count": 3, "x": -0.0},
+            {"name": "plain", "value": 1e300, "pass": False, "count": -1, "x": float("nan")},
+            {"name": "", "value": float("inf"), "pass": None, "count": 0, "x": "line\r\nend,"},
+        ]
+        for doc in ({"rows": rows}, {"checks": rows}, rows[0]):
+            assert _to_csv(doc) == dictwriter_csv(doc)
+
+    def test_rows_of_nested_dicts_and_lists(self):
+        rows = [
+            {"inputs": {"b": [1.0, {"c": None}], "a": "x,y"}, "pairs": [[0.5, 0.5], [1.0, 2.0]],
+             "pass": True},
+            {"inputs": {}, "pairs": [], "pass": False},
+            {"inputs": {"z": {"y": {"x": [True, None, "q\"uote"]}}}, "pairs": [[]], "pass": None},
+        ]
+        for doc in ({"rows": rows}, {"checks": rows}, rows[0]):
+            assert _to_csv(doc) == dictwriter_csv(doc)
 
 
 class TestOptionsByCommand:

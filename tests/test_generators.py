@@ -45,9 +45,9 @@ from qamlab.generators import (
     _RANGE_LIST_MAX,
     _bisect_array,
     _bisect_elements,
-    _bisect_scalar,
     _interior_seed,
     _walk,
+    masked_inverse,
 )
 
 
@@ -165,10 +165,15 @@ _ARCTAN = _Bisecting("arctan", np.arctan, _REALS, _REALS)
 _CUBE = _Bisecting("cube", lambda x: np.power(x, 3.0), _REALS, _REALS)
 
 
+def _one_target(gen, y):
+    """The per-element routine on a one-element list."""
+    return _bisect_elements(gen, [y])[0]
+
+
 def _per_element(gen, y):
     """The per-element routine over every element: the reference of the array loop."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.array([_bisect_scalar(gen, float(t)) for t in np.ravel(y)]).reshape(np.shape(y))
+        return np.array([_one_target(gen, float(t)) for t in np.ravel(y)]).reshape(np.shape(y))
 
 
 def _array_loop(gen, y):
@@ -375,7 +380,7 @@ class TestEvaluationBudget:
     @pytest.mark.parametrize("case", POOLS)
     def test_no_target_takes_more_calls_than_bisection(self, case):
         gen, y = self.POOLS[case]
-        calls, got = _calls_and_results(_bisect_scalar, gen, y)
+        calls, got = _calls_and_results(_one_target, gen, y)
         budget, want = _calls_and_results(_reference_bisection, gen, y)
         worst = int(np.argmax(calls - budget))
         assert calls[worst] <= budget[worst], f"target {y[worst]!r}: {calls[worst]} > {budget[worst]} calls"
@@ -389,7 +394,7 @@ class TestEvaluationBudget:
     @pytest.mark.parametrize("k", [1.5, -2.0])
     def test_exp_targets_take_at_most_eight_calls_on_average(self, k):
         x = np.random.default_rng(7).uniform(-4.0, 4.0, 500)
-        calls, got = _calls_and_results(_bisect_scalar, _bisect_exp(k), np.exp(k * x))
+        calls, got = _calls_and_results(_one_target, _bisect_exp(k), np.exp(k * x))
         assert calls.mean() <= 8.0
         assert got == pytest.approx(x, rel=1e-11, abs=1e-11)
 
@@ -397,8 +402,8 @@ class TestEvaluationBudget:
     def test_exp_targets_on_a_walked_generator_take_at_most_two_calls(self, k):
         y = np.exp(k * np.random.default_rng(7).uniform(-4.0, 4.0, 500))
         counted = _Counting(_bisect_exp(k))
-        _, cold = _calls_and_results(_bisect_scalar, None, y, counted)
-        calls, warm = _calls_and_results(_bisect_scalar, None, y, counted)
+        _, cold = _calls_and_results(_one_target, None, y, counted)
+        calls, warm = _calls_and_results(_one_target, None, y, counted)
         assert calls.max() <= 2
         assert np.array_equal(_bits(warm), _bits(cold))
 
@@ -580,6 +585,45 @@ class TestInPlaceInverse:
         got = gen._inverse_raw(y, out)
         assert got is out
         assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestInverseExtremes:
+    """``masked_inverse`` given y's extremes gives the bits it gives without them.
+
+    The extremes are y's NaN-propagating least and greatest element, or
+    None; y lies inside the range, has one element outside it, or holds a
+    NaN.  Every generator of ``TestInPlaceInverse``, on both sides of
+    ``_RANGE_LIST_MAX`` and ``_BISECT_ARRAY_MIN``, into a fresh array and
+    into ``y`` itself.
+    """
+
+    @staticmethod
+    def targets(gen, size, kind):
+        y = gen._eval_raw(gen.domain.sample_points(size))
+        cod = gen.codomain
+        if kind == "outside":
+            y[size // 3] = cod.lower - 1.0 if math.isfinite(cod.lower) else -math.inf
+        elif kind == "nan":
+            y[size // 3] = math.nan
+        return y
+
+    @pytest.mark.parametrize("alias", [False, True], ids=["fresh", "aliased"])
+    @pytest.mark.parametrize("given", [True, False], ids=["extremes", "none"])
+    @pytest.mark.parametrize("kind", ["inside", "outside", "nan"])
+    @pytest.mark.parametrize("size", [_BISECT_ARRAY_MIN // 2, 2 * _BISECT_ARRAY_MIN])
+    @pytest.mark.parametrize("name", TestInPlaceInverse.GENERATORS)
+    def test_same_bits_as_without_extremes(self, name, size, kind, given, alias):
+        gen = TestInPlaceInverse.GENERATORS[name]
+        y = self.targets(gen, size, kind)
+        extremes = np.array([np.minimum.reduce(y), np.maximum.reduce(y)]) if given else None
+        if given:
+            assert gen.codomain.contains_all(extremes) == (kind == "inside")
+        want = masked_inverse(gen, y.copy())
+        out = y if alias else np.empty_like(y)
+        got = masked_inverse(gen, y, out, extremes)
+        assert got is out
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.isnan(got).any() == (kind != "inside")
 
 
 # +-0, +-inf, NaN, the smallest and the largest subnormals, and ordinary values of both signs

@@ -33,7 +33,7 @@ from qamlab import (
 from qamlab import means, witness_search
 from qamlab.generators import masked_inverse
 from qamlab.residuals import _relative_residuals
-from qamlab.witness_search import _decode, _inverse_within, _table_sides
+from qamlab.witness_search import _decode, _table_sides
 from test_generators import _OnNegatives
 from test_pinned_witness import DATA as PINNED, PAIRS
 
@@ -535,12 +535,12 @@ class TestTableEvaluator:
 class TestBatchBounds:
     """Each batch's range test from its tables, on every table-evaluator case.
 
-    ``_inverse_within`` gets a batch's sums with their least and greatest
+    ``masked_inverse`` gets a batch's sums with their least and greatest
     value from the per-prefix extremes of the tables.  Those bounds must be
     the batch's NaN-propagating minimum and maximum bit for bit, and the
-    sides through them those of ``masked_inverse``.  The shifted cases put
-    some batches' sums outside f's range, so that their bounds fail; the
-    one-atom sides of 9x1 and 1x1 have no bounds.
+    sides through them those of ``masked_inverse`` without them.  The
+    shifted cases put some batches' sums outside f's range, so that their
+    bounds fail; the one-atom sides of 9x1 and 1x1 have no bounds.
     """
 
     @pytest.fixture(autouse=True, params=[witness_search.BATCH_SIZE, 64, 16],
@@ -560,9 +560,9 @@ class TestBatchBounds:
         (f, g), wx, wy, grid = TestTableEvaluator.CASES[case]
         bounds_got, bounds_want, sides_got, sides_want, outcomes = [], [], [], [], set()
 
-        def recording(gen, bounds, y):
+        def recording(gen, y, out, bounds):
             sums = y.copy()
-            sides_got.append(_inverse_within(gen, bounds, y))
+            sides_got.append(masked_inverse(gen, y, out, bounds))
             sides_want.append(masked_inverse(gen, sums))
             if bounds is None:
                 outcomes.add(None)
@@ -572,7 +572,7 @@ class TestBatchBounds:
                 outcomes.add(gen.codomain.contains_all(bounds))
             return sides_got[-1]
 
-        monkeypatch.setattr(witness_search, "_inverse_within", recording)
+        monkeypatch.setattr(witness_search, "masked_inverse", recording)
         # every batch in its own buffers, so that each recorded side stays as written
         TestTableEvaluator.table_sides(f, g, np.asarray(wx), np.asarray(wy), grid.points())
         self.assert_same_bits(np.concatenate(sides_got), np.concatenate(sides_want))
