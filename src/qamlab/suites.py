@@ -8,22 +8,22 @@ suite pairs f = a*g + b over real-valued injections on probability
 spaces.  All randomness flows from one seed, so runs are reproducible.
 
 Each (f, g) combination is one group.  Its space pairs are drawn in a
-fixed order from one RNG stream, each pair's doubles in one block, and
-put into the group's batch arrays, with every pair padded to 3 x 3
+fixed order from one stream, decoded from raw PCG64 output: the same
+draws, bit for bit, as two ``integers(2, 4)`` calls and one ``random``
+block per pair.  Each kind of draw is mapped with one array operation
+and put into the group's batch arrays, with every pair padded to 3 x 3
 atoms by atoms of zero mass; the group is evaluated by one call of the
-``mixed_means`` kernel.  The blocks keep the same stream, bit for bit,
-as one RNG call per draw, and padding changes no bit: each case's sides
-equal those of ``commutation_residual`` bit for bit, and a failing case
-raises the same stage-tagged RangeError, that of the first failing case
-in case order.  Rows are built in case order, each pair's masses
-formatted once.
+``mixed_means`` kernel.  Padding changes no bit: each case's sides equal
+those of ``commutation_residual`` bit for bit, and a failing case raises
+the same stage-tagged RangeError, that of the first failing case in case
+order.  Rows are built in case order, each pair's masses formatted once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -70,6 +70,12 @@ class SuiteResult:
 _MASSES = (0.5, 1.5 - 0.5, False)    # raw atom masses, scaled to their total afterwards
 _TOTALS = (0.2, 5.0 - 0.2, False)    # finite total masses, drawn again within 1e-3 of 1
 
+_CHUNK = 4096          # raw values read from the bit generator at a time
+_ULP = 2.0 ** -53      # a raw value r gives the double (r >> 11) * _ULP, as ``random`` does
+
+# the masses of a side of 2 or 3 atoms, the bytes of ";".join(f"{v:.6g}" for v in masses)
+_TEXT = {2: "%.6g;%.6g", 3: "%.6g;%.6g;%.6g"}
+
 
 def _value_law(domain: Interval) -> tuple[float, float, bool]:
     """The value law of the functions drawn on ``domain``, well inside it."""
@@ -83,12 +89,16 @@ def _value_law(domain: Interval) -> tuple[float, float, bool]:
     return low, high - low, positive
 
 
-def _apply(law: tuple[float, float, bool], u: np.ndarray) -> np.ndarray:
-    """The draws of ``law`` from the doubles ``u``, computed in place."""
+def _apply(law: tuple, u: np.ndarray) -> np.ndarray:
+    """The draws of ``law`` from the doubles ``u``, computed in place.
+
+    The law's parts are scalars or arrays of ``u``'s length, one law per
+    element; either way each element gets the same float operations.
+    """
     low, span, positive = law
     u *= span
     u += low
-    return np.exp(u, out=u) if positive else u
+    return np.exp(u, out=u, where=positive)
 
 
 def _near_one(u: float) -> bool:
@@ -97,26 +107,70 @@ def _near_one(u: float) -> bool:
     return abs(low + span * u - 1.0) <= 1e-3
 
 
-def _redraw_totals(rng: np.random.Generator, u: np.ndarray, mx: int) -> np.ndarray:
-    """A finite pair's block without its totals within 1e-3 of 1, each replaced by the next double.
-
-    The doubles the block then lacks at its end are drawn with one more call.
-    """
-    size = u.size
-    for i in (0, mx + 1):    # the X total, then the Y total
-        while True:
-            if i >= u.size:
-                u = np.append(u, rng.random(i + 1 - u.size))
-            if not _near_one(u[i]):
-                break
-            u = np.delete(u, i)
-    return np.append(u, rng.random(size - u.size))
-
-
-def _check_counts(**counts) -> None:
+def _check_counts(**counts) -> list[int]:
+    """The counts as ints, in order; a bool, a non-integer or a negative count raises a ValueError."""
+    checked = []
     for name, count in counts.items():
-        if count < 0:
+        try:
+            value = operator.index(count)
+        except TypeError:
+            value = -1
+        if value < 0 or isinstance(count, bool):
             raise ValueError(f"{name} must be a non-negative count, got {count}")
+        checked.append(value)
+    return checked
+
+
+def _read_pairs(rng: np.random.Generator, pairs: int, h: int, finite: bool) -> tuple:
+    """The atom counts and the doubles of ``pairs`` space pairs, decoded from raw PCG64 output.
+
+    Returns a list of ``(m, n)`` and the pairs' doubles as one array: per
+    pair a total mass when ``finite`` and the raw masses, per side, then
+    all h functions.  These are the draws, bit for bit, of two
+    ``rng.integers(2, 4)`` calls and then one ``rng.random`` block per
+    pair, each finite total within 1e-3 of 1 replaced by the next double:
+
+    - PCG64 serves 32-bit draws as the low, then the high half of one raw
+      value, and numpy's bounded 32-bit draw on a range of two values is
+      the draw's top bit, never rejected, so one raw r gives the counts
+      ``2 + ((r & 0xFFFFFFFF) >> 31)`` and ``2 + (r >> 63)``;
+    - each double is ``(r >> 11) * 2**-53`` of the next raw value.
+
+    The loop reads raw values in ``_CHUNK`` blocks and keeps only stream
+    positions; one mask then drops the count and skipped values, and one
+    shift and multiply gives the doubles.  ``rng`` must be a fresh PCG64
+    Generator, such as ``default_rng`` builds; its state afterwards is
+    unspecified, since the last block reads past the last pair.
+    """
+    read = rng.bit_generator.random_raw
+    chunks: list[np.ndarray] = []
+
+    def raw(i: int) -> int:
+        """Raw value i of the stream, reading blocks up to it."""
+        while i >= _CHUNK * len(chunks):
+            chunks.append(read(_CHUNK))
+        return chunks[i // _CHUNK].item(i % _CHUNK)
+
+    counts, dropped, pos = [], [], 0
+    for _ in range(pairs):
+        r = raw(pos)
+        mx, my = 2 + ((r & 0xFFFFFFFF) >> 31), 2 + (r >> 63)
+        counts.append((mx, my))
+        dropped.append(pos)
+        pos += 1
+        for atoms in (mx, my):    # the X total and masses, then the Y's
+            if finite:
+                while _near_one((raw(pos) >> 11) * _ULP):
+                    dropped.append(pos)
+                    pos += 1
+                pos += 1
+            pos += atoms
+        pos += h * mx * my
+    if pos:
+        raw(pos - 1)    # the last pair's doubles may run past the last value read
+    keep = np.ones(pos, dtype=bool)
+    keep[dropped] = False
+    return counts, (np.concatenate([np.empty(0, np.uint64), *chunks])[:pos][keep] >> 11) * _ULP
 
 
 def _pad(values: np.ndarray, m: np.ndarray, n: np.ndarray) -> None:
@@ -137,29 +191,21 @@ def _draw_groups(rng: np.random.Generator, domains: list[Interval],
     Returns ``wx[G, P, 3]``, ``wy[G, P, 3]``, ``values[G, P, h, 3, 3]``,
     ``m[G, P]`` and ``n[G, P]``, group i drawn on ``domains[i]``: pair
     (i, p) has m[i, p] X and n[i, p] Y atoms, the masses of the atoms
-    past them are 0.0, and ``_pad`` fills their values.  Each pair draws
-    its two atom counts, then all its doubles in one block: per side a
-    total mass when ``finite`` (1.0 otherwise) and the raw masses, then
-    all h functions.  This is the same stream, bit for bit, as one RNG
-    call per draw.  After the loop each kind of draw is cut from the
-    stream with one mask and put in place with one more.  The raw masses
-    are scaled to their totals with one row sum; a pad slot's 0.0 changes
-    no sum, so every mass has the bits of the pair drawn alone.
+    past them are 0.0, and ``_pad`` fills their values.  The counts and
+    the doubles come from ``_read_pairs``, the same stream, bit for bit,
+    as one RNG call per draw; ``rng``'s state afterwards is unspecified.
+    Each kind of draw is cut from the stream with one mask, mapped
+    through its laws with one array operation and put in place with one
+    more mask.  The raw masses are scaled to their totals with one row
+    sum; a pad slot's 0.0 changes no sum, so every mass has the bits of
+    the pair drawn alone.
     """
     shape = (len(domains), pairs)
-    counts, blocks = [], []
-    for _ in range(shape[0] * pairs):
-        mx, my = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        counts.append((mx, my))
-        u = rng.random(2 * finite + mx + my + h * mx * my)
-        if finite and (_near_one(u.item(0)) or _near_one(u.item(mx + 1))):
-            u = _redraw_totals(rng, u, mx)
-        blocks.append(u)
+    counts, stream = _read_pairs(rng, shape[0] * pairs, h, finite)
     m, n = np.array(counts, dtype=int).reshape(*shape, 2).transpose(2, 0, 1)
-    # a block's five runs: the X total, the X masses, the Y total, the Y masses, the values
+    # a pair's five runs of doubles: the X total, the X masses, the Y total, the Y masses, the values
     runs = np.stack([np.full(shape, int(finite)), m, np.full(shape, int(finite)), n, h * m * n], -1)
     kind = np.repeat(np.tile(np.arange(5), m.size), runs.ravel())
-    stream = np.concatenate([np.empty(0), *blocks])
 
     atoms = np.arange(3)
     wx, wy = np.zeros((*shape, 3)), np.zeros((*shape, 3))
@@ -168,10 +214,10 @@ def _draw_groups(rng: np.random.Generator, domains: list[Interval],
         total = _apply(_TOTALS, stream[kind == k]).reshape(shape) if finite else 1.0
         w *= (total / w.sum(axis=-1))[..., None]
 
-    drawn = stream[kind == 4]
-    ends = np.cumsum(runs[..., 4].sum(axis=1)).tolist()
-    for domain, start, end in zip(domains, [0, *ends], ends):
-        _apply(_value_law(domain), drawn[start:end])
+    # each group's value law, repeated over its values
+    per_group = runs[..., 4].sum(axis=1)
+    drawn = _apply([np.repeat(part, per_group) for part in zip(*map(_value_law, domains))],
+                   stream[kind == 4])
     values = np.empty((*shape, h, 3, 3))
     real = (atoms < m[..., None])[..., None, :, None] & (atoms < n[..., None])[..., None, None, :]
     values[np.broadcast_to(real, values.shape)] = drawn
@@ -218,20 +264,20 @@ def _run_groups(name: str, tol: float, gen_pairs: list[tuple[Generator, Generato
     result = SuiteResult(name=name, tolerance=tol)
     # Python's max skips a NaN residual where np.max would return it
     result.max_rel_residual = float(np.fmax.reduce(rel, initial=0.0))
-    cases = zip(lhs.tolist(), rhs.tolist(), abs_res, rel.tolist())
-    for (f, g), wx_i, wy_i, m_i, n_i in zip(gen_pairs, wx.tolist(), wy.tolist(), m.tolist(), n.tolist()):
-        f_name, g_name = f.describe(), g.describe()
-        for wx_p, wy_p, m_p, n_p in zip(wx_i, wy_i, m_i, n_i):
-            # the masses of a space pair, formatted once for its h cases
-            text_x = ";".join([f"{v:.6g}" for v in wx_p[:m_p]])
-            text_y = ";".join([f"{v:.6g}" for v in wy_p[:n_p]])
-            for lhs_k, rhs_k, abs_k, rel_k in islice(cases, values.shape[2]):
-                result.rows.append({
-                    "suite": name, "case": len(result.rows), "f": f_name, "g": g_name,
-                    "masses_x": text_x, "masses_y": text_y,
-                    "lhs": lhs_k, "rhs": rhs_k, "abs_residual": abs_k, "rel_residual": rel_k,
-                    "pass": rel_k <= tol,
-                })
+    # each space pair's names and mass texts, formatted once for its h cases
+    keys = [(f_name, g_name, _TEXT[mx] % tuple(x[:mx]), _TEXT[my] % tuple(y[:my]))
+            for (f_name, g_name), x_i, y_i, m_i, n_i
+            in zip([(f.describe(), g.describe()) for f, g in gen_pairs],
+                   wx.tolist(), wy.tolist(), m.tolist(), n.tolist())
+            for x, y, mx, my in zip(x_i, y_i, m_i, n_i)]
+    h = values.shape[2]
+    result.rows = [
+        {"suite": name, "case": case, "f": f_name, "g": g_name, "masses_x": text_x, "masses_y": text_y,
+         "lhs": lhs_k, "rhs": rhs_k, "abs_residual": abs_k, "rel_residual": rel_k, "pass": rel_k <= tol}
+        for case, ((f_name, g_name, text_x, text_y), lhs_k, rhs_k, abs_k, rel_k)
+        in enumerate(zip([key for key in keys for _ in range(h)],
+                         lhs.tolist(), rhs.tolist(), abs_res, rel.tolist()))
+    ]
     return result
 
 
@@ -247,7 +293,7 @@ def run_finite_measure_suite(
     factors c in {0.5, 2, 10}, random non-degenerate space pairs with
     total masses in [0.2, 5] away from 1, several random h per pair.
     """
-    _check_counts(pairs_per_combo=pairs_per_combo, h_per_pair=h_per_pair)
+    pairs_per_combo, h_per_pair = _check_counts(pairs_per_combo=pairs_per_combo, h_per_pair=h_per_pair)
     rng = np.random.default_rng(seed)
     catalog: list[Generator] = [
         ExpGenerator(-1.0), ExpGenerator(1.0), ExpGenerator(2.0),
@@ -270,7 +316,7 @@ def run_probability_suite(
     identity, log, exp(1), power(2); at least ``trials`` random cases
     spread evenly over the combinations.
     """
-    _check_counts(trials=trials)
+    (trials,) = _check_counts(trials=trials)
     rng = np.random.default_rng(seed)
     bases: list[Generator] = [
         IdentityGenerator(), LogGenerator(), ExpGenerator(1.0), PowerGenerator(2.0),

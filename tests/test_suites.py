@@ -20,8 +20,9 @@ from qamlab import (
     run_probability_suite,
     scale,
 )
+from qamlab import suites
 from qamlab.means import mixed_means
-from qamlab.suites import (_MASSES, _TOTALS, _apply, _near_one, _pad, _redraw_totals, _run_groups,
+from qamlab.suites import (_MASSES, _TEXT, _TOTALS, _apply, _near_one, _pad, _read_pairs, _run_groups,
                            _value_law)
 from conftest import random_in_domain
 
@@ -276,27 +277,103 @@ class TestStreamIdentity:
         expected = random_values(direct, domain, 30) if domain else direct.uniform(low, high, 30)
         assert np.array_equal(drawn.view(np.int64), expected.view(np.int64))
 
-    # the block of two 2-atom sides and no or two functions, its totals at 0 and 3; the
-    # redraws of the first two run past its end into the doubles drawn after it
-    NEAR = 0.8 / 4.8
 
-    @pytest.mark.parametrize("head, redraws", [
-        ([NEAR] * 6, (6, 0)),
-        ([0.5, 0.1, 0.2, NEAR, NEAR, NEAR], (0, 3)),
-        ([NEAR, 0.5, 0.1, 0.2, NEAR, 0.5, 0.3, 0.4] + [0.6] * 6, (1, 1)),
-    ], ids=["x-past-the-end", "y-past-the-end", "within-the-block"])
-    def test_redraws_keep_the_stream(self, head, redraws):
-        assert _near_one(self.NEAR) and not _near_one(0.5)
-        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-        block = _redraw_totals(rng, np.array(head), 2)
-        rx, ry = redraws
-        stream = np.concatenate([head, reference.random(rx + ry)])
-        expected = np.delete(stream, [*range(rx), *range(rx + 3, rx + 3 + ry)])
-        assert all(_near_one(u) for u in stream[:rx]) and not _near_one(stream[rx])
-        assert all(_near_one(u) for u in stream[rx + 3:rx + 3 + ry])
-        assert not _near_one(stream[rx + 3 + ry])
-        assert np.array_equal(block, expected)
-        assert rng.bit_generator.state == reference.bit_generator.state
+def per_call_pairs(rng, pairs, h, finite):
+    """Reference: ``_read_pairs``'s counts and doubles, two ``integers(2, 4)`` calls and ``random`` calls per pair."""
+    counts, blocks = [], []
+    for _ in range(pairs):
+        mx, my = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        counts.append((mx, my))
+        for atoms in (mx, my):
+            if finite:
+                total = rng.random(1)
+                while _near_one(total.item()):
+                    total = rng.random(1)
+                blocks.append(total)
+            blocks.append(rng.random(atoms))
+        blocks.append(rng.random(h * mx * my))
+    return counts, np.concatenate([np.empty(0), *blocks])
+
+
+def raw_of(u):
+    """The raw PCG64 value whose double is ``u`` rounded down to a multiple of 2**-53."""
+    return int(u * 2.0**53) << 11
+
+
+class ScriptedGenerator:
+    """Stands in for a Generator whose bit generator serves the given raw values, then zeros."""
+
+    def __init__(self, raws):
+        self.bit_generator, self.raws = self, list(raws)
+
+    def random_raw(self, size):
+        served, self.raws = self.raws[:size], self.raws[size:]
+        return np.array(served + [0] * (size - len(served)), dtype=np.uint64)
+
+
+class TestRawDecoding:
+    """``_read_pairs`` decodes the per-call stream from raw PCG64 values, chunk by chunk."""
+
+    NEAR = 0.8 / 4.8    # a double whose total mass is 1.0
+
+    @pytest.mark.parametrize("seed", [0, 42, 2024])
+    @pytest.mark.parametrize("h, finite", [(0, True), (5, True), (1, False)],
+                             ids=["h=0", "finite", "probability"])
+    def test_counts_and_doubles_are_the_per_call_draws(self, seed, h, finite):
+        counts, stream = _read_pairs(np.random.default_rng(seed), 2000, h, finite)
+        expected_counts, expected = per_call_pairs(np.random.default_rng(seed), 2000, h, finite)
+        assert counts == expected_counts
+        assert set(counts) == {(2, 2), (2, 3), (3, 2), (3, 3)}
+        assert np.array_equal(stream.view(np.int64), expected.view(np.int64))
+
+    # per pair: its atom counts and how many X and Y totals land within 1e-3 of 1 before one does not
+    PAIRS = [((2, 2), 3, 1), ((3, 2), 0, 2), ((2, 3), 1, 0), ((3, 3), 0, 0), ((2, 2), 0, 5)]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 4096])
+    def test_skips_run_past_chunk_ends(self, monkeypatch, chunk):
+        assert _near_one((raw_of(self.NEAR) >> 11) * 2.0**-53) and not _near_one(0.5)
+        doubles = iter(np.random.default_rng(4).uniform(0.5, 1.0, 100).tolist())
+        raws, expected = [], []
+        for (mx, my), *skips in self.PAIRS:
+            raws.append((my - 2) << 63 | (mx - 2) << 31)
+            for atoms, skipped in zip((mx, my), skips):
+                raws += [raw_of(self.NEAR)] * skipped
+                kept = [next(doubles) for _ in range(1 + atoms)]
+                raws += map(raw_of, kept)
+                expected += kept
+            kept = [next(doubles) for _ in range(mx * my)]
+            raws += map(raw_of, kept)
+            expected += kept
+        monkeypatch.setattr(suites, "_CHUNK", chunk)
+        counts, stream = _read_pairs(ScriptedGenerator(raws), len(self.PAIRS), 1, True)
+        assert counts == [pair[0] for pair in self.PAIRS]
+        # every kept double is a multiple of 2**-53 in [0.5, 1), so raw_of keeps its bits
+        assert stream.tolist() == expected
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("seed, pairs_per_combo, h_per_pair", [(8, 4, 2), (13, 10, 5), (18, 10, 1)])
+    def test_small_chunks_keep_every_row(self, monkeypatch, chunk, seed, pairs_per_combo, h_per_pair):
+        finite = run_finite_measure_suite(seed, 1e-8, pairs_per_combo, h_per_pair)
+        probability = run_probability_suite(seed, 1e-8, 72)
+        monkeypatch.setattr(suites, "_CHUNK", chunk)
+        assert bits(run_finite_measure_suite(seed, 1e-8, pairs_per_combo, h_per_pair).rows) == bits(finite.rows)
+        assert bits(run_probability_suite(seed, 1e-8, 72).rows) == bits(probability.rows)
+
+
+class TestMassText:
+    """The mass templates give the bytes of ``";".join(f"{v:.6g}")``."""
+
+    EDGE = [5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-300, 1e300,
+            1.7976931348623157e308, 0.9999995, 9.999995e-05, 999999.5, 9999995.0, 0.5, 1.0, -0.0,
+            math.inf, math.nan]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_template_is_the_joined_format(self, k):
+        for masses in itertools.permutations(self.EDGE, k):
+            assert _TEXT[k] % masses == ";".join(f"{v:.6g}" for v in masses)
+
+    def test_edges_round_across_a_power_of_ten(self):
+        assert _TEXT[3] % (0.9999995, 9.999995e-05, 999999.5) == "1;0.0001;1e+06"
 
 
 def per_pair_cases(suite, seed, size, h_per_pair=5):
@@ -378,6 +455,25 @@ class TestNegativeCounts:
     def test_probability_suite_rejects_negative_trials(self):
         with pytest.raises(ValueError, match="^trials must be a non-negative count, got -5$"):
             run_probability_suite(seed=1, trials=-5)
+
+    @pytest.mark.parametrize("suite, kwargs", [
+        (run_finite_measure_suite, {"h_per_pair": 2.0}),
+        (run_finite_measure_suite, {"pairs_per_combo": True}),
+        (run_finite_measure_suite, {"pairs_per_combo": 4, "h_per_pair": False}),
+        (run_finite_measure_suite, {"pairs_per_combo": "3"}),
+        (run_probability_suite, {"trials": True}),
+        (run_probability_suite, {"trials": 36.5}),
+        (run_probability_suite, {"trials": np.True_}),
+    ])
+    def test_a_non_integer_count_is_refused_before_any_draw(self, monkeypatch, suite, kwargs):
+        monkeypatch.setattr(suites, "_read_pairs", lambda *args: pytest.fail("drew a space pair"))
+        name, count = next((k, v) for k, v in kwargs.items() if type(v) is not int)
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative count, got {count}$"):
+            suite(seed=1, **kwargs)
+
+    def test_numpy_integer_counts_are_counts(self):
+        assert run_finite_measure_suite(seed=1, pairs_per_combo=np.int64(1), h_per_pair=np.uint8(2)).n_cases == 36
+        assert run_probability_suite(seed=1, trials=np.int32(36)).n_cases == 36
 
     def test_zero_counts_draw_no_cases(self):
         assert run_finite_measure_suite(seed=1, pairs_per_combo=0).n_cases == 0
