@@ -264,6 +264,21 @@ class Generator(ABC):
         return f"<Generator {self.describe()}>"
 
 
+def _divider(d: float) -> tuple:
+    """``(ufunc, c)`` with ``ufunc(x, c)`` equal to ``x / d`` bit for bit, for d != 0.
+
+    When |d| is a power of two whose reciprocal is finite, that is
+    ``(np.multiply, 1 / d)``: 1/d is then exact, and ``x * 2**-e`` and
+    ``x / 2**e`` are the correctly rounded values of one real number, at
+    about half the cost of a divide.  Otherwise it is ``(np.divide, d)``.
+    """
+    mantissa, exponent = math.frexp(d)
+    # |d| = 2**(exponent - 1), whose reciprocal is finite from 2**-1023 up
+    if abs(mantissa) == 0.5 and exponent >= -1022:
+        return np.multiply, 1.0 / d
+    return np.divide, d
+
+
 def _interior_seed(dom: Interval) -> float:
     if math.isfinite(dom.lower) and math.isfinite(dom.upper):
         return 0.5 * (dom.lower + dom.upper)
@@ -578,10 +593,18 @@ class _OneParam(_Family):
 
 
 class ExpGenerator(_OneParam):
-    """x -> exp(k*x) on the real line, k != 0; bijection onto (0, inf)."""
+    """x -> exp(k*x) on the real line, k != 0; bijection onto (0, inf).
+
+    The inverse is log(y) / k, computed as log(y) times 1/k when |k| is a
+    power of two (see ``_divider``), with the same bits.
+    """
 
     family, param, noun, default = "exp", "k", "rate", 1.0
     domain, codomain = REAL_LINE, POSITIVE_HALF_LINE
+
+    def __init__(self, value: float):
+        super().__init__(value)
+        self._by_k = _divider(self.k)
 
     def _eval_raw(self, x):
         return np.exp(self.k * x)
@@ -589,7 +612,10 @@ class ExpGenerator(_OneParam):
     def _inverse_raw(self, y, out=None):
         x = np.log(y, out=out)
         # x / 1.0 is x bit for bit
-        return x if self.k == 1.0 else np.divide(x, self.k, out=out)
+        if self.k == 1.0:
+            return x
+        ufunc, c = self._by_k
+        return ufunc(x, c, out=out)
 
 
 class PowerGenerator(_OneParam):
@@ -651,7 +677,9 @@ class AffineGenerator(Generator):
 
     The range follows the affine image of the inner range; the result is a
     positive bijection only when that image is exactly (0, inf), i.e. for
-    b = 0, a > 0 over a positive-bijection inner generator.
+    b = 0, a > 0 over a positive-bijection inner generator.  The inverse
+    divides y - b by a, or multiplies it by 1/a when |a| is a power of two
+    (see ``_divider``), with the same bits.
     """
 
     def __init__(self, a: float, b: float, inner: Generator):
@@ -660,6 +688,7 @@ class AffineGenerator(Generator):
             raise ValueError("affine wrapper requires finite a != 0 and finite b")
         self.a = a
         self.b = b
+        self._by_a = _divider(a)
         self.inner = inner
         self.domain = inner.domain
         self.codomain = _scaled_interval(inner.codomain, a, b)
@@ -672,7 +701,8 @@ class AffineGenerator(Generator):
         # y - (+0.0) is y bit for bit, as in every scale wrapper; y - (-0.0) turns -0.0 into +0.0
         if self.b or math.copysign(1.0, self.b) < 0:
             y = np.subtract(y, self.b, out=out)
-        return self.inner._inverse_raw(np.divide(y, self.a, out=out), out)
+        ufunc, c = self._by_a
+        return self.inner._inverse_raw(ufunc(y, c, out=out), out)
 
     def describe(self) -> str:
         return f"{self.a:g}*{self.inner.describe()}{self.b:+g}"

@@ -8,6 +8,7 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -34,6 +35,21 @@ def _json_floats(value, name: str, nested: bool = False):
     text = repr(value)
     text = text if len(text) <= 40 else f"{text[:36]} ..."
     raise ValueError(f"{name} must {what} within the float range, got {text}")
+
+
+def _check_counts(least: int = 0, /, **counts) -> list[int]:
+    """The counts as ints, in order; a bool, a non-integer or a count below ``least`` raises a ValueError."""
+    checked = []
+    for name, count in counts.items():
+        try:
+            value = operator.index(count)
+        except TypeError:
+            value = least - 1
+        if value < least or isinstance(count, bool):
+            what = "a non-negative count" if least == 0 else f"an integer of at least {least}"
+            raise ValueError(f"{name} must be {what}, got {count}")
+        checked.append(value)
+    return checked
 
 
 class DiscreteMeasureSpace:

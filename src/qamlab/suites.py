@@ -22,7 +22,6 @@ order.  Rows are built in case order, each pair's masses formatted once.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from .generators import (ExpGenerator, Generator, IdentityGenerator, Interval, LogGenerator,
                          PowerGenerator, affine, scale)
 from .means import _case_sides, mixed_means
+from .measure_space import _check_counts
 from .residuals import DEFAULT_ZERO_TOL, _relative_residuals
 
 __all__ = ["SuiteResult", "run_finite_measure_suite", "run_probability_suite"]
@@ -105,20 +105,6 @@ def _near_one(u: float) -> bool:
     """Whether the total mass drawn from the double ``u`` lands within 1e-3 of 1."""
     low, span, _ = _TOTALS
     return abs(low + span * u - 1.0) <= 1e-3
-
-
-def _check_counts(**counts) -> list[int]:
-    """The counts as ints, in order; a bool, a non-integer or a negative count raises a ValueError."""
-    checked = []
-    for name, count in counts.items():
-        try:
-            value = operator.index(count)
-        except TypeError:
-            value = -1
-        if value < 0 or isinstance(count, bool):
-            raise ValueError(f"{name} must be a non-negative count, got {count}")
-        checked.append(value)
-    return checked
 
 
 def _read_pairs(rng: np.random.Generator, pairs: int, h: int, finite: bool) -> tuple:

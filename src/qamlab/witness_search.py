@@ -31,7 +31,12 @@ generator inverses (``_inverse_raw(y, out)``) and the residuals write
 into them: fresh batch-sized arrays let glibc trim the heap and fault it
 in again between batches, which cost a block search about half of its
 time on a 2-vCPU x86 host.  A chain of 3 to 7 terms adds its partial
-sums at the shape of the digits they read.  A batch is range-tested from
+sums at the shape of the digits they read.  A last term whose row or
+column reads only trailing digits, as in the block and 2x3 searches, is
+the same in every batch: it is laid out once per search at the batch's
+shape, read-only and shared by the workers, and each batch copies its
+partial sum into the buffer and adds that term contiguously, about half
+the time of a broadcast add.  A batch is range-tested from
 its tables: each weighted table keeps, per prefix of lead digits, its
 NaN-propagating minimum and maximum over its trailing digits, and as
 rounded addition is monotone and the tables read disjoint digits, their
@@ -58,7 +63,7 @@ from enum import Enum
 import numpy as np
 
 from .generators import POSITIVE_HALF_LINE, REAL_LINE, Generator, _common_domain, masked_eval, masked_inverse
-from .measure_space import DiscreteMeasureSpace, ProductGrid
+from .measure_space import DiscreteMeasureSpace, ProductGrid, _check_counts
 from .means import SimpleFunctionMatrix, _masked_mean, commutation_residual, mixed_means
 from .residuals import ResidualReport, _relative_residuals
 
@@ -105,8 +110,7 @@ class GridSpec:
 
     def __post_init__(self):
         lo, hi = self.value_range
-        if self.points_per_axis < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        _check_counts(2, points_per_axis=self.points_per_axis)
         if not (REAL_LINE.contains_all((lo, hi)) and lo < hi):
             raise ValueError("grid range must be a finite interval with lo < hi")
         if self.spacing is Spacing.GEOMETRIC and not lo > 0.0:
@@ -190,7 +194,8 @@ def _decode(indices, pts: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return pts[(indices[..., None] // radix) % pts.size].reshape(indices.shape + shape)
 
 
-def _weighted_sum(products: list, out: np.ndarray | None = None) -> np.ndarray:
+def _weighted_sum(products: list, out: np.ndarray | None = None,
+                  last: np.ndarray | None = None) -> np.ndarray:
     """The sum of two or more weighted terms, broadcast into ``out``, in the order of ``np.sum``.
 
     The branch is there for bit-identity with the kernel, not for speed.
@@ -203,7 +208,11 @@ def _weighted_sum(products: list, out: np.ndarray | None = None) -> np.ndarray:
     The chain adds at the broadcast shape of the terms added so far, and
     only its last add writes ``out``: the terms of a search read disjoint
     digits, so all but the last span a fraction of the batch.  Without
-    ``out`` the sum is a new array, as for a batch's bounds.
+    ``out`` the sum is a new array, as for a batch's bounds.  ``last``,
+    the last term laid out at ``out``'s shape, turns that add into a
+    broadcast copy of the partial sum into ``out`` and a contiguous add,
+    about half the time of a broadcast add: each element still gets the
+    one addition of its partial sum and its last term.
     """
     if len(products) >= 8:
         stack = np.empty(np.broadcast_shapes(*(p.shape for p in products)) + (len(products),))
@@ -213,7 +222,10 @@ def _weighted_sum(products: list, out: np.ndarray | None = None) -> np.ndarray:
     partial = products[0]
     for product in products[1:-1]:
         partial = np.add(partial, product)
-    return np.add(partial, products[-1], out=out)
+    if last is None:
+        return np.add(partial, products[-1], out=out)
+    np.copyto(out, partial)
+    return np.add(out, last, out=out)
 
 
 def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts: np.ndarray):
@@ -257,12 +269,18 @@ def _table_sides(f: Generator, g: Generator, wx: np.ndarray, wy: np.ndarray, pts
             for product, group in zip(products, groups)]
         # each product's slice, broadcast over the batch's cube
         shapes = [[npts if q in group else 1 for q in range(lead, digits)] for group in groups]
+        # a last group of trailing digits only gives every batch the same
+        # last term: laid out once, read-only, for every worker's batches
+        last = None
+        if len(groups) < 8 and min(groups[-1]) >= lead:
+            last = np.broadcast_to(products[-1].reshape(shapes[-1]), cube).copy()
+            last.flags.writeable = False
 
         def lookup(start, out):
             prefix = np.unravel_index(start // batch, (npts,) * lead)
             keys = [tuple(prefix[q] for q in group if q < lead) for group in groups]
             _weighted_sum([product[key].reshape(shape) for product, key, shape in zip(products, keys, shapes)],
-                          out.reshape(cube))
+                          out.reshape(cube), last)
             return _weighted_sum([ext[(slice(None),) + key] for ext, key in zip(extremes, keys)])
         return lookup
 
@@ -286,8 +304,7 @@ def _table_search(f, g, spaces, pts, threshold: float, workers: int) -> Witness 
     """
     if not POSITIVE_HALF_LINE.contains_all(threshold):
         raise ValueError(f"threshold must be a finite positive real, got {threshold}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    (workers,) = _check_counts(1, workers=workers)
     space_x, space_y = spaces
     sides, total, batch = _table_sides(f, g, space_x.weights, space_y.weights, pts)
 
@@ -419,9 +436,11 @@ def refine_witness(
     -inf.  The best point scanned replaces the coordinate only when it
     strictly improves, so the result never falls below the start; the
     result is reported through ``commutation_residual``.  Deterministic
-    given its inputs.
+    given its inputs; ``iterations``, the number of sweeps, is a
+    non-negative integer, and 0 returns ``start``.
     """
-    if iterations <= 0:
+    (iterations,) = _check_counts(iterations=iterations)
+    if iterations == 0:
         return start
 
     # a block witness is a 2x2 matrix; ``kind`` only chooses the JSON layout

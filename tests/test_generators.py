@@ -663,13 +663,66 @@ class TestSkippedIdentityPasses:
         assert math.copysign(1.0, scale(PowerGenerator(1.0), 2.0)._inverse_raw(np.array([-0.0]))[0]) == -1.0
 
     @pytest.mark.parametrize("alias", [False, True], ids=["fresh", "aliased"])
-    @pytest.mark.parametrize("k", [1.0, -1.0, 2.0, 0.5])
+    @pytest.mark.parametrize("k", [1.0, -1.0, 2.0, -2.0, 0.5, 3.0])
     def test_exp_inverse_is_the_two_pass_formula(self, k, alias):
         with np.errstate(all="ignore"):
             want = np.divide(np.log(_SPECIAL), k)
             y = _SPECIAL.copy()
             got = ExpGenerator(k)._inverse_raw(y, y if alias else None)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def _reciprocal_targets():
+    """_SPECIAL, every subnormal power of two, +-DBL_MAX and random doubles of every exponent."""
+    rng = np.random.default_rng(30)
+    subnormals = np.ldexp(1.0, np.arange(-1074, -1022))
+    random = rng.standard_normal(400) * np.ldexp(1.0, rng.integers(-1074, 1000, 400))
+    return np.concatenate([_SPECIAL, subnormals, -subnormals, [np.finfo(float).max, -np.finfo(float).max],
+                           random, rng.uniform(-1e3, 1e3, 200)])
+
+
+class TestExactReciprocals:
+    """Division by a power of two with a finite reciprocal is a multiplication.
+
+    ``_divider(d)`` multiplies by 1/d exactly when |d| = 2**e with e in
+    [-1023, 1023]; x * 2**-e must then be x / 2**e bit for bit on every
+    double.  Below 2**-1023 the reciprocal overflows, and a d that is no
+    power of two has an inexact one: both keep dividing.
+    """
+
+    X = _reciprocal_targets()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_powers_of_two_multiply_with_the_same_bits(self, sign):
+        for e in range(-1023, 1024):
+            d = sign * math.ldexp(1.0, e)
+            ufunc, c = generators._divider(d)
+            assert ufunc is np.multiply and c == 1.0 / d, d
+            with np.errstate(all="ignore"):
+                assert np.array_equal(_bits(ufunc(self.X, c)), _bits(np.divide(self.X, d))), d
+
+    @pytest.mark.parametrize("d", [math.ldexp(1.0, -1024), -math.ldexp(1.0, -1030), 5e-324,
+                                   3.0, 10.0, 0.1, -2.5, 1.5 * 2.0**-1022, 1.5 * 2.0**1023])
+    def test_others_keep_dividing(self, d):
+        assert generators._divider(d) == (np.divide, d)
+
+    @pytest.mark.parametrize("k", [2.0, -1.0, -2.0, 0.5, -0.25, 2.0**-1023, 3.0, -0.1])
+    def test_exp_inverse_is_log_over_k(self, k):
+        y = np.abs(self.X[np.isfinite(self.X) & (self.X != 0.0)])
+        # log(y) / 2**-1023 overflows where |log(y)| > 1
+        with np.errstate(all="ignore"):
+            want, got = np.log(y) / k, ExpGenerator(k).inverse(y)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("b", [0.0, 1.5])
+    @pytest.mark.parametrize("a", [2.0, -0.5, 4.0, 2.0**-20, 3.0, -2.5])
+    def test_affine_inverse_is_log_of_y_minus_b_over_a(self, a, b):
+        x = np.linspace(-3.0, 30.0, 241)
+        gens = [affine(ExpGenerator(1.0), a, b)] + ([scale(ExpGenerator(1.0), a)] if a > 0 and b == 0.0 else [])
+        for gen in gens:
+            y = gen.eval(x)
+            want = np.log((y - b) / a)
+            assert np.array_equal(_bits(gen.inverse(y)), _bits(want)), gen.describe()
 
 
 class TestBisectionInSearches:

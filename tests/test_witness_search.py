@@ -57,6 +57,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(5, (-1.0, 1.0), Spacing.GEOMETRIC)
 
+    @pytest.mark.parametrize("points", [3.0, True, np.True_, "5", 1, -2])
+    def test_points_must_be_an_integer_of_at_least_two(self, points):
+        with pytest.raises(ValueError, match=f"^points_per_axis must be an integer of at least 2, got {points}$"):
+            GridSpec(points, (0.1, 10.0))
+
+    def test_numpy_integer_points(self):
+        assert np.array_equal(GridSpec(np.int64(5), (1.0, 16.0)).points(), GridSpec(5, (1.0, 16.0)).points())
+
     @pytest.mark.parametrize("value_range", [(0.1, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
     def test_range_must_be_finite(self, value_range):
         with pytest.raises(ValueError) as info:
@@ -158,6 +166,18 @@ class TestBlockSearch:
             block_witness_search(ExpGenerator(1.0), ExpGenerator(2.0), 1, 1, 1, 1,
                                  GEOMETRIC_21, workers=workers)
 
+    @pytest.mark.parametrize("workers", [0, 1.5, True, np.True_, "2"])
+    def test_workers_must_be_an_integer_before_any_search(self, workers, monkeypatch):
+        monkeypatch.setattr(witness_search, "_table_sides", lambda *args: pytest.fail("searched"))
+        with pytest.raises(ValueError, match=f"^workers must be an integer of at least 1, got {workers}$"):
+            block_witness_search(ExpGenerator(1.0), ExpGenerator(2.0), 1, 1, 1, 1,
+                                 GEOMETRIC_21, workers=workers)
+
+    def test_numpy_integer_workers(self):
+        f, g = ExpGenerator(1.0), ExpGenerator(2.0)
+        assert (block_witness_search(f, g, 1, 1, 1, 1, GEOMETRIC_21, workers=np.int64(2)).to_json()
+                == block_witness_search(f, g, 1, 1, 1, 1, GEOMETRIC_21).to_json())
+
 
 class TestFullSearch:
     def two_by_two_unit(self):
@@ -226,6 +246,13 @@ class TestFullSearch:
             full_witness_search(ExpGenerator(1.0), ExpGenerator(2.0), (2, 2),
                                 self.two_by_two_unit(), GridSpec(5, (0.2, 5.0)), workers=workers)
 
+    @pytest.mark.parametrize("workers", [0, 1.5, True, np.True_, "2"])
+    def test_workers_must_be_an_integer_before_any_search(self, workers, monkeypatch):
+        monkeypatch.setattr(witness_search, "_table_sides", lambda *args: pytest.fail("searched"))
+        with pytest.raises(ValueError, match=f"^workers must be an integer of at least 1, got {workers}$"):
+            full_witness_search(ExpGenerator(1.0), ExpGenerator(2.0), (2, 2),
+                                self.two_by_two_unit(), GridSpec(5, (0.2, 5.0)), workers=workers)
+
     def test_soundness_reevaluation(self):
         from qamlab import ProductGrid, SimpleFunctionMatrix
 
@@ -245,6 +272,16 @@ class TestRefinement:
 
     def test_zero_iterations_returns_start(self):
         assert refine_witness(self.f, self.g, self.start, 0) is self.start
+
+    @pytest.mark.parametrize("iterations", [2.0, True, np.True_, "1", -1])
+    def test_iterations_must_be_a_non_negative_count(self, iterations, monkeypatch):
+        monkeypatch.setattr(witness_search, "mixed_means", lambda *args: pytest.fail("refined"))
+        with pytest.raises(ValueError, match=f"^iterations must be a non-negative count, got {iterations}$"):
+            refine_witness(self.f, self.g, self.start, iterations)
+
+    def test_numpy_integer_iterations(self):
+        assert (refine_witness(self.f, self.g, self.start, np.int64(2))
+                == refine_witness(self.f, self.g, self.start, 2))
 
     def test_never_decreases(self):
         for iters in (1, 5, 20):
@@ -424,7 +461,8 @@ class TestTableEvaluator:
     The reference decodes every candidate and runs it through the kernel,
     so it shares no table, slice or sum with the evaluator.  9x1 and 2x9
     put the lhs, then the rhs, past the 8 terms from which numpy sums
-    pairwise.
+    pairwise.  At the default batch size the 2x2, 2x3 and 3x3 cases lay
+    each side's last term out once per search (see ``TestLaidOutLastTerm``).
     """
 
     SHIFTED = (affine(ExpGenerator(1.0), 1.0, 1.0), ExpGenerator(1.0))
@@ -433,6 +471,11 @@ class TestTableEvaluator:
                     GridSpec(6, (0.1, 10.0))),
         "exp-power-2x3": ((ExpGenerator(1.0), PowerGenerator(2.0)), [0.8, 1.5], [0.6, 1.2, 0.9],
                           GridSpec(4, (0.1, 10.0))),
+        # both inverses multiply by an exact reciprocal, 1/-1 and 1/-2
+        "exp-decreasing-2x2": ((ExpGenerator(-1.0), ExpGenerator(-2.0)), [0.7, 1.3], [1.1, 0.6],
+                               GridSpec(6, (0.1, 10.0))),
+        "exp-power-3x3": ((ExpGenerator(2.0), PowerGenerator(-1.0)), [0.4, 1.3, 0.9],
+                          [1.2, 0.5, 2.0], GridSpec(3, (0.1, 10.0))),
         "power-3x2": ((PowerGenerator(2.0), PowerGenerator(-1.0)), [0.5, 1.0, 2.0], [1.5, 0.4],
                       GridSpec(4, (0.1, 10.0))),
         "shifted-2x2": (SHIFTED, [0.3, 0.3], [0.3, 0.3], GridSpec(9, (0.05, 2.0))),
@@ -530,6 +573,52 @@ class TestTableEvaluator:
                 block = block_witness_search(f, g, *wx, *wy, grid, 1e-300, workers)
                 assert list(block.values) == want[0] + want[1]
                 assert block.skipped_points == skipped
+
+
+class TestLaidOutLastTerm:
+    """Which sums lay their last term out once per search, read-only and contiguous.
+
+    A chain of fewer than 8 terms whose last group reads only trailing
+    digits adds that term laid out at the batch's shape; one whose last
+    group reads a lead digit, and a longer chain, keep the broadcast add.
+    A one-atom side builds its table per batch and sums nothing.  The
+    results are checked bit for bit by ``TestTableEvaluator``.
+    """
+
+    # (rows, columns), points per axis, BATCH_SIZE -> (lhs laid out, rhs laid out)
+    CASES = {
+        "block-grid31": ((2, 2), 31, witness_search.BATCH_SIZE, (True, True)),
+        "full-2x3-grid7": ((2, 3), 7, witness_search.BATCH_SIZE, (True, True)),
+        "full-3x3-grid3": ((3, 3), 3, witness_search.BATCH_SIZE, (True, True)),
+        # columns 1, 3 and 5 of the last column: 5 trailing, 1 and 3 lead
+        "full-3x2-batch16": ((3, 2), 4, 16, (True, False)),
+        # nine columns: the np.sum path
+        "full-2x9": ((2, 9), 2, witness_search.BATCH_SIZE, (True, False)),
+        # one column: the rhs is built per batch
+        "full-9x1": ((9, 1), 3, witness_search.BATCH_SIZE, (False, None)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_path_of_each_side(self, case, monkeypatch):
+        (m, n), points, size, want = self.CASES[case]
+        monkeypatch.setattr(witness_search, "BATCH_SIZE", size)
+        laid = []
+        summed = witness_search._weighted_sum
+
+        def recording(products, out=None, last=None):
+            if out is not None:
+                laid.append(last is not None)
+                if last is not None:
+                    assert last.shape == out.shape and last.flags.c_contiguous
+                    assert not last.flags.writeable
+            return summed(products, out, last)
+
+        monkeypatch.setattr(witness_search, "_weighted_sum", recording)
+        sides, total, batch = _table_sides(ExpGenerator(1.0), ExpGenerator(2.0), np.linspace(0.5, 1.5, m),
+                                           np.linspace(0.7, 1.1, n), GridSpec(points, (0.1, 10.0)).points())
+        for start in (0, total - batch):
+            sides(start, np.empty(batch), np.empty(batch))
+        assert laid == [side for side in want if side is not None] * 2
 
 
 class TestBatchBounds:
