@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .measure_space import _json_floats
+from .measure_space import _check_counts, _json_floats
 from .residuals import DEFAULT_ZERO_TOL, _relative_residuals
 
 __all__ = [
@@ -146,6 +146,7 @@ class Interval:
 
     def sample_points(self, n: int = _SAMPLE_COUNT) -> np.ndarray:
         """Deterministic interior sample grid with n points."""
+        (n,) = _check_counts(None, n=n)
         if n < 2:
             raise ValueError("need at least 2 sample points")
         lo_inf = math.isinf(self.lower)
@@ -297,19 +298,42 @@ def _into(result, out: np.ndarray | None = None):
     return out
 
 
-def _masked(raw, valid: Interval, x: np.ndarray, out: np.ndarray | None = None,
+class _Ranges:
+    """Intervals on an array's leading axis, interval k testing index k; ``_masked`` takes it for an Interval.
+
+    It is the range of a stack of wrappers whose ranges differ (``suites._Stack``).
+    """
+
+    def __init__(self, intervals: list[Interval]):
+        self.intervals = intervals
+
+    def contains_all(self, x) -> bool:
+        return all(iv.contains_all(part) for iv, part in zip(self.intervals, x))
+
+    def contains(self, x) -> np.ndarray:
+        return np.stack([iv.contains(part) for iv, part in zip(self.intervals, x)])
+
+    def seeds(self, x) -> np.ndarray:
+        """Each interval's interior seed, shaped to broadcast along x's leading axis."""
+        return np.reshape([_interior_seed(iv) for iv in self.intervals], (-1,) + (1,) * (x.ndim - 1))
+
+
+def _masked(raw, valid: Interval | _Ranges, x: np.ndarray, out: np.ndarray | None = None,
             extremes=None) -> np.ndarray:
     """``raw(x)``, or ``raw(x, out)``, with NaN where x is outside ``valid``.
 
     ``extremes``, x's NaN-propagating least and greatest element when the
     caller knows them, are range-tested in place of x.  Only the fallback
     for a partly invalid x builds a mask, and only it allocates when
-    ``out`` is given.
+    ``out`` is given.  The fallback evaluates an interior seed of ``valid``
+    in place of each element outside it, one seed per interval of a
+    ``_Ranges``.
     """
     if valid.contains_all(x if extremes is None else extremes):
         return raw(x) if out is None else raw(x, out)
     ok = valid.contains(x)
-    return _into(np.where(ok, raw(np.where(ok, x, _interior_seed(valid))), np.nan), out)
+    seed = valid.seeds(x) if isinstance(valid, _Ranges) else _interior_seed(valid)
+    return _into(np.where(ok, raw(np.where(ok, x, seed)), np.nan), out)
 
 
 def masked_eval(gen: Generator, x: np.ndarray) -> np.ndarray:

@@ -63,8 +63,11 @@ class SimpleFunctionMatrix:
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        arr = np.array(values, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
+        try:
+            arr = np.array(values, dtype=float)
+        except ValueError:    # numpy's text for rows of different lengths names no field
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.size == 0:
             raise ValueError("simple-function values must form a non-empty 2-D grid")
         if not REAL_LINE.contains_all(arr):
             raise ValueError("simple-function values must be finite")

@@ -37,16 +37,20 @@ def _json_floats(value, name: str, nested: bool = False):
     raise ValueError(f"{name} must {what} within the float range, got {text}")
 
 
-def _check_counts(least: int = 0, /, **counts) -> list[int]:
-    """The counts as ints, in order; a bool, a non-integer or a count below ``least`` raises a ValueError."""
+def _check_counts(least: int | None = 0, /, **counts) -> list[int]:
+    """The counts as ints, in order; a bool, a non-integer or a count below ``least`` raises a ValueError.
+
+    With ``least`` None every integer is taken, for callers that word their own bound.
+    """
     checked = []
     for name, count in counts.items():
         try:
             value = operator.index(count)
         except TypeError:
-            value = least - 1
-        if value < least or isinstance(count, bool):
-            what = "a non-negative count" if least == 0 else f"an integer of at least {least}"
+            value = None
+        if value is None or isinstance(count, bool) or (least is not None and value < least):
+            what = "an integer" if least is None else \
+                "a non-negative count" if least == 0 else f"an integer of at least {least}"
             raise ValueError(f"{name} must be {what}, got {count}")
         checked.append(value)
     return checked

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import POSITIVE_HALF_LINE, CodomainKind, Generator
-from .measure_space import DiscreteMeasureSpace, ProductGrid
+from .measure_space import DiscreteMeasureSpace, ProductGrid, _check_counts
 from .means import SimpleFunctionMatrix, commutation_residual
 from .residuals import DEFAULT_ZERO_TOL, ResidualReport, _relative_residuals
 
@@ -281,6 +281,7 @@ def phi_origin_limit(
     Strictly decreasing, and decaying toward zero for admissible pairs;
     returned for inspection rather than asserted here.
     """
+    (n_max,) = _check_counts(None, n_max=n_max)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     ns = np.arange(1, n_max + 1, dtype=float)
@@ -290,7 +291,8 @@ def phi_origin_limit(
 def default_fit_grid(
     lo: float = 0.1, hi: float = 10.0, points_per_axis: int = 9
 ) -> list[tuple[float, float]]:
-    """Geometric grid over [lo, hi]^2 used by the linear-form fit."""
+    """Geometric grid over [lo, hi]^2 used by the linear-form fit; at least 2 points per axis."""
+    (points_per_axis,) = _check_counts(2, points_per_axis=points_per_axis)
     axis = np.geomspace(lo, hi, points_per_axis)
     return [(float(x), float(y)) for x in axis for y in axis]
 

@@ -12,10 +12,15 @@ fixed order from one stream, decoded from raw PCG64 output: the same
 draws, bit for bit, as two ``integers(2, 4)`` calls and one ``random``
 block per pair.  Each kind of draw is mapped with one array operation
 and put into the group's batch arrays, with every pair padded to 3 x 3
-atoms by atoms of zero mass; the group is evaluated by one call of the
-``mixed_means`` kernel.  Padding changes no bit: each case's sides equal
-those of ``commutation_residual`` bit for bit, and a failing case raises
-the same stage-tagged RangeError, that of the first failing case in case
+atoms by atoms of zero mass.  All the groups whose f wraps one base
+generator g are evaluated by one call of the ``mixed_means`` kernel, their
+wrappers' (a, b) stacked on the batch's leading axis: 6 calls for the
+proportional suite, one per base, and 4 for the affine suite.  Family
+parameters are never stacked, since ``np.power`` with an array of
+exponents does not give the bits of ``np.power`` with each scalar one.
+Neither padding nor stacking changes a bit: each case's sides equal those
+of ``commutation_residual`` bit for bit, and a failing case raises the
+same stage-tagged RangeError, that of the first failing case in case
 order.  Rows are built in case order, each pair's masses formatted once.
 """
 
@@ -26,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generators import (ExpGenerator, Generator, IdentityGenerator, Interval, LogGenerator,
-                         PowerGenerator, affine, scale)
+from .generators import (AffineGenerator, ExpGenerator, Generator, IdentityGenerator, Interval,
+                         LogGenerator, PowerGenerator, _Ranges, affine, scale)
 from .means import _case_sides, mixed_means
 from .measure_space import _check_counts
 from .residuals import DEFAULT_ZERO_TOL, _relative_residuals
@@ -211,14 +216,76 @@ def _draw_groups(rng: np.random.Generator, domains: list[Interval],
     return wx, wy, values, m, n
 
 
+class _Stack:
+    """The affine (or scale) wrappers of K groups over one base instance, as one generator.
+
+    It has what ``mixed_means`` reads of a generator, ``domain``,
+    ``codomain``, ``_eval_raw`` and ``_inverse_raw``, and applies group
+    k's wrapper to index k of the leading axis of every array it is
+    passed: the kernel keeps that axis and reduces only the last one.
+    Each element gets the float operations of its own wrapper, a * inner(x)
+    + b and inner^-1((y - b) / a): subtracting b = +0.0 gives the bits of
+    the subtraction the wrapper skips, and dividing by a power of two those
+    of multiplying by its exact reciprocal.  The groups share the base's
+    domain; their ranges, and with them the range test and the fallback's
+    seeds, are per group unless all are one interval.
+    """
+
+    def __init__(self, wrappers: list[AffineGenerator]):
+        self.inner = wrappers[0].inner
+        self.a = np.array([w.a for w in wrappers])
+        self.b = np.array([w.b for w in wrappers])
+        self.domain = self.inner.domain
+        ranges = [w.codomain for w in wrappers]
+        self.codomain = ranges[0] if len(set(ranges)) == 1 else _Ranges(ranges)
+
+    @staticmethod
+    def _along(v: np.ndarray, x) -> np.ndarray:
+        """The per-group ``v``, shaped to broadcast along x's leading axis."""
+        return v.reshape((-1,) + (1,) * (np.ndim(x) - 1))
+
+    def _eval_raw(self, x):
+        return self._along(self.a, x) * self.inner._eval_raw(x) + self._along(self.b, x)
+
+    def _inverse_raw(self, y, out=None):
+        y = np.subtract(y, self._along(self.b, y), out=out)
+        return self.inner._inverse_raw(np.divide(y, self._along(self.a, y), out=out), out)
+
+
+def _stacks(gen_pairs: list[tuple[Generator, Generator]]):
+    """``(f, g, at)`` per ``mixed_means`` call: the groups ``at`` of ``gen_pairs``, evaluated as one.
+
+    The groups whose f wraps one base instance and whose g is one instance
+    share a call, their f as a ``_Stack``; any other group has a call of
+    its own.  ``at`` is a slice when the groups are evenly spaced, as in
+    both suites, so that the batch arrays are read as views, and a list of
+    group indices otherwise.
+    """
+    calls: dict = {}
+    for i, (f, g) in enumerate(gen_pairs):
+        key = (id(f.inner), id(g)) if isinstance(f, AffineGenerator) else i
+        calls.setdefault(key, []).append(i)
+    for at in calls.values():
+        f, g = gen_pairs[at[0]]
+        step = 1
+        if len(at) > 1:
+            f, step = _Stack([gen_pairs[i][0] for i in at]), at[1] - at[0]
+        yield f, g, slice(at[0], at[-1] + 1, step) if at == list(range(at[0], at[-1] + 1, step)) else at
+
+
 def _run_groups(name: str, tol: float, gen_pairs: list[tuple[Generator, Generator]],
                 wx, wy, values, m, n) -> SuiteResult:
-    """One ``mixed_means`` call per generator pair, on its group of ``_draw_groups``; rows in case order.
+    """One ``mixed_means`` call per stack of ``_stacks``, on the groups of ``_draw_groups``; rows in case order.
 
     ``gen_pairs[i]`` is the (f, g) of group i.  Case order is group order,
-    then space pair order, then function order within a space pair.
-    Evaluating a space pair with zero-mass pad atoms changes none of its
-    sides by a bit:
+    then space pair order, then function order within a space pair.  The
+    groups share one call per base, not one each, since the kernel's cost
+    is mostly fixed per call.  Only wrappers are stacked, never a family's
+    parameters: ``np.power`` with an array of exponents does not give the
+    bits of ``np.power`` with each scalar exponent.  Each element of a
+    stack gets the float operations of its own wrapper (see ``_Stack``),
+    and evaluating a space pair with zero-mass pad atoms changes none of
+    its sides by a bit:
 
     - a pad term ``0.0 * v`` joins a sum of at most three terms with the
       sign of the real term whose value it repeats, so it changes no sum
@@ -235,8 +302,8 @@ def _run_groups(name: str, tol: float, gen_pairs: list[tuple[Generator, Generato
     computed on its own unpadded arrays.
     """
     lhs, rhs = np.empty(values.shape[:3]), np.empty(values.shape[:3])
-    for i, (f, g) in enumerate(gen_pairs):
-        lhs[i], rhs[i] = mixed_means(f, g, wx[i, :, None, :], wy[i, :, None, :], values[i])
+    for f, g, at in _stacks(gen_pairs):
+        lhs[at], rhs[at] = mixed_means(f, g, wx[at, :, None, :], wy[at, :, None, :], values[at])
     lhs, rhs = lhs.ravel(), rhs.ravel()
     failed = np.flatnonzero(np.isnan(lhs) | np.isnan(rhs))
     if failed.size:

@@ -113,6 +113,18 @@ class TestCheck:
         )
         assert code == 2
 
+    def test_ragged_h_is_malformed_input(self, docs, capsys):
+        # numpy's "inhomogeneous shape" text named no field
+        ragged = write(docs["tmp"] / "ragged.json", {"values": [[0.0, 0.0], [0.0]]})
+        code = main(
+            ["check", "--f", docs["exp1"], "--g", docs["exp2"],
+             "--space-x", docs["unit2"], "--space-y", docs["unit2"], "--h", ragged]
+        )
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err == "input error: simple-function values must form a non-empty 2-D grid\n"
+
     def test_csv_format(self, docs, capsys):
         code = run_check(docs, "double_exp1", "exp1", "h", "--format", "csv")
         assert code == 0

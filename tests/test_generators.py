@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -1115,10 +1116,66 @@ class TestInterval:
             Interval(0.0, 1.0).sample_points(1)
         assert str(info.value) == "need at least 2 sample points"
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_points_keep_their_message_below_two(self, n):
+        with pytest.raises(ValueError) as info:
+            Interval(0.0, 1.0).sample_points(n)
+        assert str(info.value) == "need at least 2 sample points"
+
+    @pytest.mark.parametrize("n", [2.5, 17.0, True, "17", None])
+    def test_sample_points_refuse_a_non_integer_count(self, n):
+        # 2.5 failed inside numpy with a TypeError
+        with pytest.raises(ValueError) as info:
+            Interval(0.0, 1.0).sample_points(n)
+        assert str(info.value) == f"n must be an integer, got {n}"
+
+    def test_sample_points_take_a_numpy_integer(self):
+        iv = Interval(0.0, math.inf)
+        assert np.array_equal(iv.sample_points(np.int64(5)), iv.sample_points(5))
+
+    def test_rejects_an_empty_interval(self):
+        with pytest.raises(ValueError) as info:
+            Interval(1.0, 1.0)
+        assert str(info.value) == "interval needs lower < upper, got [1.0, 1.0]"
+
     def test_intersection(self):
         common = Interval(-math.inf, math.inf).intersection(Interval(0.0, math.inf))
         assert (common.lower, common.upper) == (0.0, math.inf)
         assert Interval(0.0, 1.0).intersection(Interval(2.0, 3.0)) is None
+
+    OPENNESS = list(itertools.product([True, False], repeat=2))
+
+    @pytest.mark.parametrize("open_a, open_b", OPENNESS)
+    def test_intersection_at_equal_lower_ends(self, open_a, open_b):
+        # the shared end is open when either interval leaves it out
+        a, b = Interval(0.0, 2.0, open_a, False), Interval(0.0, 3.0, open_b, True)
+        for common in (a.intersection(b), b.intersection(a)):
+            assert common == Interval(0.0, 2.0, open_a or open_b, False)
+
+    @pytest.mark.parametrize("open_a, open_b", OPENNESS)
+    def test_intersection_at_equal_upper_ends(self, open_a, open_b):
+        a, b = Interval(-1.0, 2.0, True, open_a), Interval(0.0, 2.0, False, open_b)
+        for common in (a.intersection(b), b.intersection(a)):
+            assert common == Interval(0.0, 2.0, False, open_a or open_b)
+
+    @pytest.mark.parametrize("open_a, open_b", OPENNESS)
+    def test_intersection_of_touching_intervals_is_none(self, open_a, open_b):
+        # closed at both, they share the one point 1.0, which is no interval
+        a, b = Interval(0.0, 1.0, True, open_a), Interval(1.0, 2.0, open_b, True)
+        assert a.intersection(b) is None and b.intersection(a) is None
+
+    @pytest.mark.parametrize("end", [0.3, -0.7, 1.0, 4.0, -25.0])
+    @pytest.mark.parametrize("end_open", [True, False])
+    def test_sample_points_on_a_half_line(self, end, end_open):
+        # the point nearest the finite end is 0.1 * max(1, |end|) from it
+        gap = 0.1 * max(1.0, abs(end))
+        for iv, nearest in ((Interval(end, math.inf, end_open), 0),
+                            (Interval(-math.inf, end, True, end_open), -1)):
+            xs = iv.sample_points(17)
+            assert xs.shape == (17,)
+            assert np.all(np.diff(xs) > 0.0)
+            assert all(iv.lower < x < iv.upper for x in xs)
+            assert abs(xs[nearest] - end) == pytest.approx(gap, rel=1e-12)
 
     SPECIAL = np.array([-math.inf, math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308,
                         1e-300, 0.5, 1.0, -1.0, 2.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),

@@ -383,7 +383,12 @@ class TestSimpleFunctionMatrix:
         ({"values": [[1.0, True]]}, "values must hold only JSON numbers within the float range, got True"),
         ({"values": [[1.0, 10**400]]},
          f"values must hold only JSON numbers within the float range, got {'1' + '0' * 35} ..."),
-    ], ids=["no-values", "not-an-object", "string", "bool", "huge-int"])
+        # numpy's own text for these named no field
+        ({"values": [[1.0, 2.0], [3.0]]}, "simple-function values must form a non-empty 2-D grid"),
+        ({"values": [[1.0, 2.0], 3.0]}, "simple-function values must form a non-empty 2-D grid"),
+        ({"values": [[[1.0]], [2.0]]}, "simple-function values must form a non-empty 2-D grid"),
+    ], ids=["no-values", "not-an-object", "string", "bool", "huge-int", "ragged", "row-and-number",
+            "uneven-depth"])
     def test_malformed_json(self, doc, message):
         with pytest.raises(ValueError) as info:
             SimpleFunctionMatrix.from_json(doc)

@@ -308,6 +308,24 @@ class TestMonotonicityAndLimit:
             phi_origin_limit(f, g, 1.0, 1.0, 1)
         assert str(info.value) == "n_max must be at least 2"
 
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_origin_limit_keeps_its_message_below_two(self, n_max):
+        with pytest.raises(ValueError) as info:
+            phi_origin_limit(*SQRT_PAIR, 1.0, 1.0, n_max)
+        assert str(info.value) == "n_max must be at least 2"
+
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, True, "3", None])
+    def test_origin_limit_refuses_a_non_integer_count(self, monkeypatch, n_max):
+        # refused before any work: 2.5 ran on the three points np.arange(1, 3.5)
+        monkeypatch.setattr("qamlab.phi_reduction.big_phi", None)
+        with pytest.raises(ValueError) as info:
+            phi_origin_limit(*SQRT_PAIR, 1.0, 1.0, n_max)
+        assert str(info.value) == f"n_max must be an integer, got {n_max}"
+
+    def test_origin_limit_takes_a_numpy_integer(self):
+        assert np.array_equal(phi_origin_limit(*SQRT_PAIR, 1.0, 1.0, np.int64(4)),
+                              phi_origin_limit(*SQRT_PAIR, 1.0, 1.0, 4))
+
     def test_origin_limit_decays_for_catalog_pairs(self, positive_bijection_pairs):
         for f, g in positive_bijection_pairs:
             seq = phi_origin_limit(f, g, 1.0, 1.0, 10_000)
@@ -370,6 +388,24 @@ class TestLinearFormFit:
         grid = default_fit_grid()
         assert len(grid) == 81
         assert all(0.1 <= x <= 10.0 and 0.1 <= y <= 10.0 for x, y in grid)
+
+
+class TestDefaultFitGrid:
+    def test_default_grid(self):
+        grid = default_fit_grid()
+        assert len(grid) == 81
+        assert grid[0] == (0.1, 0.1) and grid[-1] == pytest.approx((10.0, 10.0))
+
+    @pytest.mark.parametrize("points", [2.5, 9.0, True, False, "9", None, 1, 0, -2])
+    def test_refuses_a_bad_count_before_any_work(self, monkeypatch, points):
+        # 2.5 failed inside numpy with a TypeError, and True gave a one-point grid
+        monkeypatch.setattr("qamlab.phi_reduction.np.geomspace", None)
+        with pytest.raises(ValueError) as info:
+            default_fit_grid(0.1, 10.0, points)
+        assert str(info.value) == f"points_per_axis must be an integer of at least 2, got {points}"
+
+    def test_takes_a_numpy_integer(self):
+        assert default_fit_grid(0.1, 10.0, np.int32(3)) == default_fit_grid(0.1, 10.0, 3)
 
 
 class TestScaledCauchy:

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from qamlab import (
+    AffineGenerator,
     DiscreteMeasureSpace,
     ExpGenerator,
+    Generator,
     IdentityGenerator,
     Interval,
     LogGenerator,
     PowerGenerator,
     ProductGrid,
     RangeError,
+    ScaledGenerator,
     SimpleFunctionMatrix,
     affine,
     commutation_residual,
@@ -21,6 +24,7 @@ from qamlab import (
     scale,
 )
 from qamlab import suites
+from qamlab.generators import POSITIVE_HALF_LINE, REAL_LINE, _Ranges, masked_inverse
 from qamlab.means import mixed_means
 from qamlab.suites import (_MASSES, _TEXT, _TOTALS, _apply, _near_one, _pad, _read_pairs, _run_groups,
                            _value_law)
@@ -124,6 +128,34 @@ def hand_built_cases():
     return [case for run in cases for case in run]
 
 
+# (wx, wy, H) on which outer-X fails for BOUNDARY, inner-Y for SHIFTED, exp overflows to inf,
+# and exp and power(2) both overflow
+_HALF = np.array([0.5, 0.5])
+FAILING_INPUTS = [(_HALF, _HALF, np.full((2, 2), 1e-9)), (_HALF, _HALF / 5, np.zeros((2, 2))),
+                  (_HALF, _HALF, np.full((2, 2), 400.0)), (_HALF, _HALF, np.full((2, 2), 1e200))]
+
+
+def random_cases(rng, g, totals=(1.0, 0.3, 4.0)):
+    """``(wx, wy, H)`` cases in g's domain, of every shape, per total mass of ``totals``."""
+    cases = []
+    for total in totals:
+        for shape in SHAPES:
+            wx, wy = (rng.uniform(0.5, 1.5, size) for size in shape)
+            cases.append((wx * (total / wx.sum()), wy * (total / wy.sum()), random_in_domain(rng, g, shape)))
+    return cases
+
+
+def padded_batch(cases):
+    """``(wx[B, 3], wy[B, 3], H[B, 3, 3])`` of ``(wx, wy, H)`` cases, padded as the suites pad them."""
+    wx, wy = np.zeros((len(cases), 3)), np.zeros((len(cases), 3))
+    values = np.empty((len(cases), 3, 3))
+    m, n = (np.array(dims) for dims in zip(*(case[2].shape for case in cases)))
+    for b, (wx_b, wy_b, values_b) in enumerate(cases):
+        wx[b, :m[b]], wy[b, :n[b]], values[b, :m[b], :n[b]] = wx_b, wy_b, values_b
+    _pad(values[:, None], m, n)
+    return wx, wy, values
+
+
 class TestSuites:
     def test_finite_measure_suite_schema_and_pass(self):
         result = run_finite_measure_suite(seed=3, pairs_per_combo=3, h_per_pair=2)
@@ -178,25 +210,10 @@ class TestSuites:
 
     def test_zero_mass_padding_is_invisible_bit_for_bit(self):
         rng = np.random.default_rng(21)
-        half = np.array([0.5, 0.5])
         failed = 0
         for f, g in [*PROPORTIONAL_PAIRS, *AFFINE_PAIRS, BOUNDARY, SHIFTED]:
-            cases = []
-            for total in (1.0, 0.3, 4.0):
-                for shape in SHAPES:
-                    wx, wy = (rng.uniform(0.5, 1.5, size) for size in shape)
-                    cases.append((wx * (total / wx.sum()), wy * (total / wy.sum()),
-                                  random_in_domain(rng, g, shape)))
-            cases += [(half, half, np.full((2, 2), 1e-9)),         # outer-X for BOUNDARY
-                      (half, half / 5, np.zeros((2, 2))),          # inner-Y for SHIFTED
-                      (half, half, np.full((2, 2), 400.0))]        # exp overflows to inf
-            wx, wy = np.zeros((len(cases), 3)), np.zeros((len(cases), 3))
-            values = np.empty((len(cases), 3, 3))
-            m, n = (np.array(dims) for dims in zip(*(case[2].shape for case in cases)))
-            for b, (wx_b, wy_b, values_b) in enumerate(cases):
-                wx[b, :m[b]], wy[b, :n[b]], values[b, :m[b], :n[b]] = wx_b, wy_b, values_b
-            _pad(values[:, None], m, n)
-            padded = mixed_means(f, g, wx, wy, values)
+            cases = random_cases(rng, g) + FAILING_INPUTS
+            padded = mixed_means(f, g, *padded_batch(cases))
             alone = [np.array(side) for side in zip(*(mixed_means(f, g, *case) for case in cases))]
             # bit for bit, so the NaN sides of the failing cases too
             for side in (0, 1):
@@ -244,6 +261,123 @@ class TestSuites:
         assert expected.value.stage == ("outer-X" if boundary_first else "inner-Y")
         assert err.value.stage == expected.value.stage
         assert str(err.value) == str(expected.value)
+
+
+class _ExpNoClosedForm(Generator):
+    """e^x with the default inverse, the bracketed regula falsi, which raises on a target outside the range."""
+
+    domain, codomain, increasing = REAL_LINE, POSITIVE_HALF_LINE, True
+
+    def _eval_raw(self, x):
+        return np.exp(x)
+
+    def describe(self):
+        return "exp-no-closed-form"
+
+    def to_json(self):
+        return {}
+
+
+class TestStacks:
+    """All groups whose f wraps one base instance, and whose g is one instance, share a ``mixed_means`` call."""
+
+    @pytest.mark.parametrize("g", [ExpGenerator(1.0), PowerGenerator(2.0)], ids=["exp", "power"])
+    def test_stacked_wrappers_equal_their_groups_bit_for_bit(self, g):
+        # six ranges over nine groups: (b, inf) for a > 0, (-inf, b) for a < 0
+        wrappers = [affine(g, a, b) for a in (-2.0, 0.5, 3.0) for b in (-1.0, 0.0, 4.0)] + [scale(g, 10.0)]
+        stack = suites._Stack(wrappers)
+        assert isinstance(stack.codomain, _Ranges)
+        rng = np.random.default_rng(34)
+        batches = [padded_batch(random_cases(rng, g) + FAILING_INPUTS) for _ in wrappers]
+        wx, wy, values = (np.stack(arrays) for arrays in zip(*batches))
+        stacked = mixed_means(stack, g, wx, wy, values)
+        alone = [np.stack(sides)
+                 for sides in zip(*(mixed_means(f, g, *batch) for f, batch in zip(wrappers, batches)))]
+        # bit for bit, so the NaN sides of the failing cases too
+        for side in (0, 1):
+            assert np.array_equal(stacked[side].view(np.int64), alone[side].view(np.int64))
+        failed = np.isnan(alone[0]) | np.isnan(alone[1])
+        # the groups fail on different cases, as their ranges differ
+        assert 0 < failed.sum() < failed.size
+        assert len({tuple(row) for row in failed}) > 2
+
+    def test_one_shared_range_is_an_interval(self):
+        g = ExpGenerator(-1.0)
+        stack = suites._Stack([scale(g, c) for c in (0.5, 2.0, 10.0)])
+        assert type(stack.codomain) is Interval and stack.codomain == g.codomain
+
+    def test_ranges_test_each_group_on_its_own_index(self):
+        ranges = _Ranges([Interval(0.0, math.inf), Interval(4.0, math.inf),
+                          Interval(-math.inf, -1.0, True, False)])
+        x = np.array([[3.0, 5.0], [5.0, 6.0], [-1.0, -2.0]])
+        assert ranges.contains_all(x) and ranges.contains(x).all()
+        # each value is inside the first group's range, or another group's, but not its own
+        for k, bad in ((0, 0.0), (1, 3.0), (2, -0.5)):
+            y = x.copy()
+            y[k, 1] = bad
+            assert not ranges.contains_all(y)
+            want = np.ones(y.shape, dtype=bool)
+            want[k, 1] = False
+            assert np.array_equal(ranges.contains(y), want)
+        assert np.array_equal(ranges.seeds(x[..., None]), [[[1.0]], [[5.0]], [[-2.0]]])
+
+    def test_fallback_seeds_each_group_inside_its_own_range(self):
+        # a seed outside a group's range would reach the regula falsi, which raises
+        g = _ExpNoClosedForm()
+        wrappers = [affine(g, 1.0, 4.0), affine(g, -1.0, -1.0), affine(g, 2.0, 0.0)]
+        y = np.array([[5.0, 3.0, 9.0, np.nan], [-2.0, 0.0, -7.0, -1.0], [1.0, -1.0, np.inf, 4.0]])
+        got = masked_inverse(suites._Stack(wrappers), y)
+        want = np.stack([masked_inverse(f, y_k) for f, y_k in zip(wrappers, y)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(np.isnan(got), [[False, True, False, True], [False, True, False, True],
+                                              [False, True, True, False]])
+
+    def test_the_suites_groups_are_read_as_views(self):
+        # the suites' order: three scales per base, then (a, b) outermost over four bases
+        catalog = [ExpGenerator(-1.0), ExpGenerator(1.0), PowerGenerator(2.0)]
+        finite = list(suites._stacks([(scale(g, c), g) for g in catalog for c in (0.5, 2.0, 10.0)]))
+        assert [at for _, _, at in finite] == [slice(3 * s, 3 * s + 3, 1) for s in range(3)]
+        bases = [IdentityGenerator(), LogGenerator(), ExpGenerator(1.0), PowerGenerator(2.0)]
+        probability = list(suites._stacks([(affine(g, a, b), g) for a in (-2.0, 0.5, 3.0)
+                                           for b in (-1.0, 0.0, 4.0) for g in bases]))
+        assert [at for _, _, at in probability] == [slice(j, j + 33, 4) for j in range(4)]
+        assert all(isinstance(f, suites._Stack) for f, _, _ in finite + probability)
+
+    def test_other_groups_keep_a_call_of_their_own(self):
+        # stacked: one base instance under f and one instance as g, at unevenly spaced groups
+        g = ExpGenerator(1.0)
+        pairs = [(scale(g, 2.0), g), SHIFTED, (scale(g, 0.5), g), (affine(g, 2.0, 1.0), ExpGenerator(1.0)),
+                 (scale(ExpGenerator(1.0), 3.0), g), (affine(g, -1.0, 4.0), g)]
+        calls = list(suites._stacks(pairs))
+        assert [at for _, _, at in calls] == [[0, 2, 5], slice(1, 2, 1), slice(3, 4, 1), slice(4, 5, 1)]
+        assert [type(f) for f, _, _ in calls] == [suites._Stack, ExpGenerator, AffineGenerator, ScaledGenerator]
+
+    def test_stacked_groups_give_the_per_case_rows(self):
+        g = PowerGenerator(2.0)
+        pairs = [(affine(g, a, b), g) for a, b in ((-2.0, -1.0), (3.0, 4.0), (0.5, 0.0))]
+        rng = np.random.default_rng(5)
+        cases = [(f, g, *case) for f, _ in pairs for case in random_cases(rng, g, (1.0,) * 3)]
+        groups = groups_of(cases)
+        assert len(list(suites._stacks(groups[0]))) == 1
+        result = _run_groups("stacked", 1e-8, *groups)
+        rows, worst = per_case_rows("stacked", 1e-8, cases)
+        assert bits(result.rows) == bits(rows)
+        assert result.max_rel_residual.hex() == worst.hex()
+
+    @pytest.mark.parametrize("suite, kwargs, calls", [
+        (run_finite_measure_suite, {"pairs_per_combo": 3, "h_per_pair": 2}, 6),
+        (run_probability_suite, {"trials": 72}, 4),
+    ])
+    def test_one_kernel_call_per_base(self, monkeypatch, suite, kwargs, calls):
+        counted = []
+
+        def counting(*args):
+            counted.append(args[0])
+            return mixed_means(*args)
+
+        monkeypatch.setattr(suites, "mixed_means", counting)
+        suite(seed=2, **kwargs)
+        assert len(counted) == calls
 
 
 LAWS = {
