@@ -75,8 +75,11 @@ class DiscreteMeasureSpace:
     __slots__ = ("_weights", "_labels")
 
     def __init__(self, weights: Sequence[float], labels: Sequence[str] | None = None):
-        arr = np.array(weights, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
+        try:
+            arr = np.array(weights, dtype=float)
+        except ValueError:    # numpy's text for ragged weights names no field
+            arr = None
+        if arr is None or arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must be a non-empty one-dimensional sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError("atom weights must be finite")

@@ -12,20 +12,22 @@ fixed order from one stream, decoded from raw PCG64 output: the same
 draws, bit for bit, as two ``integers(2, 4)`` calls and one ``random``
 block per pair.  Each kind of draw is mapped with one array operation
 and put into the group's batch arrays, with every pair padded to 3 x 3
-atoms by atoms of zero mass.  All the groups whose f wraps one base
-generator g are evaluated by one call of the ``mixed_means`` kernel, their
+atoms by atoms of zero mass.  Each suite declares its catalog once, in
+``_catalog``: its groups in case order and one call of the ``mixed_means``
+kernel per base generator g, over the groups whose f wraps g, their
 wrappers' (a, b) stacked on the batch's leading axis: 6 calls for the
-proportional suite, one per base, and 4 for the affine suite.  Family
-parameters are never stacked, since ``np.power`` with an array of
-exponents does not give the bits of ``np.power`` with each scalar one.
-Neither padding nor stacking changes a bit: each case's sides equal those
-of ``commutation_residual`` bit for bit, and a failing case raises the
-same stage-tagged RangeError, that of the first failing case in case
-order.  Rows are built in case order, each pair's masses formatted once.
+proportional suite and 4 for the affine suite.  Family parameters are
+never stacked, since ``np.power`` with an array of exponents does not
+give the bits of ``np.power`` with each scalar one.  Neither padding nor
+stacking changes a bit: each case's sides equal those of
+``commutation_residual`` bit for bit, and a failing case raises the same
+stage-tagged RangeError, that of the first failing case in case order.
+Rows are built in case order, each pair's masses formatted once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -220,8 +222,8 @@ class _Stack:
     """The affine (or scale) wrappers of K groups over one base instance, as one generator.
 
     It has what ``mixed_means`` reads of a generator, ``domain``,
-    ``codomain``, ``_eval_raw`` and ``_inverse_raw``, and applies group
-    k's wrapper to index k of the leading axis of every array it is
+    ``codomain``, ``_eval_raw`` and ``_inverse_raw``, and applies wrapper k
+    of ``wrappers`` to index k of the leading axis of every array it is
     passed: the kernel keeps that axis and reduces only the last one.
     Each element gets the float operations of its own wrapper, a * inner(x)
     + b and inner^-1((y - b) / a): subtracting b = +0.0 gives the bits of
@@ -252,40 +254,42 @@ class _Stack:
         return self.inner._inverse_raw(np.divide(y, self._along(self.a, y), out=out), out)
 
 
-def _stacks(gen_pairs: list[tuple[Generator, Generator]]):
-    """``(f, g, at)`` per ``mixed_means`` call: the groups ``at`` of ``gen_pairs``, evaluated as one.
+@functools.cache
+def _catalog(finite: bool) -> tuple[list, list]:
+    """A suite's (f, g) groups in case order, and its ``mixed_means`` calls ``(stack, g, at)``.
 
-    The groups whose f wraps one base instance and whose g is one instance
-    share a call, their f as a ``_Stack``; any other group has a call of
-    its own.  ``at`` is a slice when the groups are evenly spaced, as in
-    both suites, so that the batch arrays are read as views, and a list of
-    group indices otherwise.
+    One call per base g: ``at`` is the slice of the groups whose f wraps
+    g, and ``stack`` their wrappers as a ``_Stack``.  The proportional
+    suite (``finite``) puts a base's three scales side by side; the affine
+    suite's (a, b) is outermost, so a base's groups are every fourth.
+    Built at the first suite call and kept, not at import, which would
+    cost every importer that runs no suite.
     """
-    calls: dict = {}
-    for i, (f, g) in enumerate(gen_pairs):
-        key = (id(f.inner), id(g)) if isinstance(f, AffineGenerator) else i
-        calls.setdefault(key, []).append(i)
-    for at in calls.values():
-        f, g = gen_pairs[at[0]]
-        step = 1
-        if len(at) > 1:
-            f, step = _Stack([gen_pairs[i][0] for i in at]), at[1] - at[0]
-        yield f, g, slice(at[0], at[-1] + 1, step) if at == list(range(at[0], at[-1] + 1, step)) else at
+    if finite:
+        bases = [ExpGenerator(-1.0), ExpGenerator(1.0), ExpGenerator(2.0),
+                 PowerGenerator(-1.0), PowerGenerator(0.5), PowerGenerator(2.0)]
+        gen_pairs = [(scale(g, c), g) for g in bases for c in (0.5, 2.0, 10.0)]
+        at = [slice(3 * j, 3 * j + 3) for j in range(len(bases))]
+    else:
+        bases = [IdentityGenerator(), LogGenerator(), ExpGenerator(1.0), PowerGenerator(2.0)]
+        gen_pairs = [(affine(g, a, b), g) for a in (-2.0, 0.5, 3.0) for b in (-1.0, 0.0, 4.0) for g in bases]
+        at = [slice(j, None, len(bases)) for j in range(len(bases))]
+    return gen_pairs, [(_Stack([f for f, _ in gen_pairs[at_j]]), g, at_j) for g, at_j in zip(bases, at)]
 
 
-def _run_groups(name: str, tol: float, gen_pairs: list[tuple[Generator, Generator]],
+def _run_groups(name: str, tol: float, gen_pairs: list[tuple[Generator, Generator]], calls: list,
                 wx, wy, values, m, n) -> SuiteResult:
-    """One ``mixed_means`` call per stack of ``_stacks``, on the groups of ``_draw_groups``; rows in case order.
+    """One ``mixed_means`` call per entry of ``calls``, on the groups of ``_draw_groups``; rows in case order.
 
-    ``gen_pairs[i]`` is the (f, g) of group i.  Case order is group order,
-    then space pair order, then function order within a space pair.  The
-    groups share one call per base, not one each, since the kernel's cost
-    is mostly fixed per call.  Only wrappers are stacked, never a family's
-    parameters: ``np.power`` with an array of exponents does not give the
-    bits of ``np.power`` with each scalar exponent.  Each element of a
-    stack gets the float operations of its own wrapper (see ``_Stack``),
-    and evaluating a space pair with zero-mass pad atoms changes none of
-    its sides by a bit:
+    ``gen_pairs[i]`` is the (f, g) of group i, and each ``(f, g, at)`` of
+    ``calls`` evaluates the groups ``at``, a slice, with f a ``_Stack`` of
+    their wrappers or the one group's own f; together the calls cover
+    every group once.  Case order is group order, then space pair order,
+    then function order within a space pair.  The suites' groups share
+    one call per base (see ``_catalog``), not one each, since the kernel's
+    cost is mostly fixed per call.  Each element of a stack gets the float
+    operations of its own wrapper (see ``_Stack``), and evaluating a space
+    pair with zero-mass pad atoms changes none of its sides by a bit:
 
     - a pad term ``0.0 * v`` joins a sum of at most three terms with the
       sign of the real term whose value it repeats, so it changes no sum
@@ -302,7 +306,7 @@ def _run_groups(name: str, tol: float, gen_pairs: list[tuple[Generator, Generato
     computed on its own unpadded arrays.
     """
     lhs, rhs = np.empty(values.shape[:3]), np.empty(values.shape[:3])
-    for f, g, at in _stacks(gen_pairs):
+    for f, g, at in calls:
         lhs[at], rhs[at] = mixed_means(f, g, wx[at, :, None, :], wy[at, :, None, :], values[at])
     lhs, rhs = lhs.ravel(), rhs.ravel()
     failed = np.flatnonzero(np.isnan(lhs) | np.isnan(rhs))
@@ -347,15 +351,10 @@ def run_finite_measure_suite(
     total masses in [0.2, 5] away from 1, several random h per pair.
     """
     pairs_per_combo, h_per_pair = _check_counts(pairs_per_combo=pairs_per_combo, h_per_pair=h_per_pair)
-    rng = np.random.default_rng(seed)
-    catalog: list[Generator] = [
-        ExpGenerator(-1.0), ExpGenerator(1.0), ExpGenerator(2.0),
-        PowerGenerator(-1.0), PowerGenerator(0.5), PowerGenerator(2.0),
-    ]
-
-    gen_pairs = [(scale(g, c), g) for g in catalog for c in (0.5, 2.0, 10.0)]
-    groups = _draw_groups(rng, [g.domain for _, g in gen_pairs], pairs_per_combo, h_per_pair, True)
-    return _run_groups("finite-measure-proportional", tol, gen_pairs, *groups)
+    gen_pairs, calls = _catalog(True)
+    groups = _draw_groups(np.random.default_rng(seed), [g.domain for _, g in gen_pairs],
+                          pairs_per_combo, h_per_pair, True)
+    return _run_groups("finite-measure-proportional", tol, gen_pairs, calls, *groups)
 
 
 def run_probability_suite(
@@ -370,14 +369,8 @@ def run_probability_suite(
     spread evenly over the combinations.
     """
     (trials,) = _check_counts(trials=trials)
-    rng = np.random.default_rng(seed)
-    bases: list[Generator] = [
-        IdentityGenerator(), LogGenerator(), ExpGenerator(1.0), PowerGenerator(2.0),
-    ]
-    combos = [(a, b, g) for a in (-2.0, 0.5, 3.0) for b in (-1.0, 0.0, 4.0) for g in bases]
-    per_combo = -(-trials // len(combos))  # ceil division
-
-    gen_pairs = [(affine(g, a, b), g) for a, b, g in combos]
+    gen_pairs, calls = _catalog(False)
+    per_combo = -(-trials // len(gen_pairs))  # ceil division
     # one function per space pair: its (1, m, n) draw takes the stream's (m, n) draw
-    groups = _draw_groups(rng, [g.domain for _, g in gen_pairs], per_combo, 1, False)
-    return _run_groups("probability-affine", tol, gen_pairs, *groups)
+    groups = _draw_groups(np.random.default_rng(seed), [g.domain for _, g in gen_pairs], per_combo, 1, False)
+    return _run_groups("probability-affine", tol, gen_pairs, calls, *groups)

@@ -125,6 +125,18 @@ class TestCheck:
         assert out.out == ""
         assert out.err == "input error: simple-function values must form a non-empty 2-D grid\n"
 
+    @pytest.mark.parametrize("weights", [[[1.0], [2.0, 3.0]], [1.0, [2.0]]], ids=["ragged-rows", "number-and-row"])
+    def test_ragged_space_is_malformed_input(self, docs, capsys, weights):
+        ragged = write(docs["tmp"] / "ragged-space.json", {"weights": weights})
+        code = main(
+            ["check", "--f", docs["exp1"], "--g", docs["exp2"],
+             "--space-x", ragged, "--space-y", docs["unit2"], "--h", docs["h"]]
+        )
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err == "input error: weights must be a non-empty one-dimensional sequence\n"
+
     def test_csv_format(self, docs, capsys):
         code = run_check(docs, "double_exp1", "exp1", "h", "--format", "csv")
         assert code == 0

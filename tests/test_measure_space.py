@@ -33,6 +33,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscreteMeasureSpace([float("nan")])
 
+    # numpy's "inhomogeneous shape" text named no field
+    @pytest.mark.parametrize("weights", [[[1.0], [2.0, 3.0]], [1.0, [2.0]], [[1.0, 2.0]]],
+                             ids=["ragged-rows", "number-and-row", "one-row"])
+    def test_rejects_weights_that_are_not_one_row(self, weights):
+        for build in (DiscreteMeasureSpace, lambda w: DiscreteMeasureSpace.from_json({"weights": w})):
+            with pytest.raises(ValueError) as info:
+                build(weights)
+            assert str(info.value) == "weights must be a non-empty one-dimensional sequence"
+
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError):
             DiscreteMeasureSpace([1.0, 2.0], labels=["a"])

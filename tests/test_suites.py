@@ -15,7 +15,6 @@ from qamlab import (
     PowerGenerator,
     ProductGrid,
     RangeError,
-    ScaledGenerator,
     SimpleFunctionMatrix,
     affine,
     commutation_residual,
@@ -70,6 +69,8 @@ def per_case_rows(name, tol, cases):
 def groups_of(cases):
     """``_run_groups`` input for ``(f, g, wx, wy, H)`` cases: a group per run of one (f, g), a space pair per case.
 
+    Each group has a ``mixed_means`` call of its own, with its own f.
+
     Every run must hold the same number of cases, as every group of a suite does.
     """
     runs = [list(run) for _, run in itertools.groupby(cases, key=lambda case: case[:2])]
@@ -83,7 +84,8 @@ def groups_of(cases):
             m[i, p], n[i, p] = mx, my = values_p.shape
             wx[i, p, :mx], wy[i, p, :my], values[i, p, 0, :mx, :my] = wx_p, wy_p, values_p
     _pad(values, m, n)
-    return [run[0][:2] for run in runs], wx, wy, values, m, n
+    pairs = [run[0][:2] for run in runs]
+    return pairs, [(f, g, slice(i, i + 1)) for i, (f, g) in enumerate(pairs)], wx, wy, values, m, n
 
 
 def bits(rows):
@@ -279,7 +281,7 @@ class _ExpNoClosedForm(Generator):
 
 
 class TestStacks:
-    """All groups whose f wraps one base instance, and whose g is one instance, share a ``mixed_means`` call."""
+    """Each suite's groups over one base share a ``mixed_means`` call, declared once with the catalog."""
 
     @pytest.mark.parametrize("g", [ExpGenerator(1.0), PowerGenerator(2.0)], ids=["exp", "power"])
     def test_stacked_wrappers_equal_their_groups_bit_for_bit(self, g):
@@ -332,34 +334,59 @@ class TestStacks:
         assert np.array_equal(np.isnan(got), [[False, True, False, True], [False, True, False, True],
                                               [False, True, True, False]])
 
+    @pytest.mark.parametrize("finite, bases", [(True, 6), (False, 4)], ids=["finite", "probability"])
+    def test_declared_calls_cover_each_group_once(self, finite, bases):
+        gen_pairs, calls = suites._catalog(finite)
+        assert len(calls) == bases
+        covered = []
+        for stack, g, at in calls:
+            assert isinstance(stack, suites._Stack) and isinstance(at, slice)
+            groups = gen_pairs[at]
+            assert all(f.inner is g and g_i is g for f, g_i in groups)
+            # the stack applies the wrappers of its groups, in group order
+            assert stack.inner is g
+            assert stack.a.tolist() == [f.a for f, _ in groups] and stack.b.tolist() == [f.b for f, _ in groups]
+            covered += range(len(gen_pairs))[at]
+        assert sorted(covered) == list(range(len(gen_pairs)))
+
     def test_the_suites_groups_are_read_as_views(self):
         # the suites' order: three scales per base, then (a, b) outermost over four bases
-        catalog = [ExpGenerator(-1.0), ExpGenerator(1.0), PowerGenerator(2.0)]
-        finite = list(suites._stacks([(scale(g, c), g) for g in catalog for c in (0.5, 2.0, 10.0)]))
-        assert [at for _, _, at in finite] == [slice(3 * s, 3 * s + 3, 1) for s in range(3)]
-        bases = [IdentityGenerator(), LogGenerator(), ExpGenerator(1.0), PowerGenerator(2.0)]
-        probability = list(suites._stacks([(affine(g, a, b), g) for a in (-2.0, 0.5, 3.0)
-                                           for b in (-1.0, 0.0, 4.0) for g in bases]))
-        assert [at for _, _, at in probability] == [slice(j, j + 33, 4) for j in range(4)]
-        assert all(isinstance(f, suites._Stack) for f, _, _ in finite + probability)
+        finite, probability = ([at for _, _, at in suites._catalog(finite)[1]] for finite in (True, False))
+        assert finite == [slice(3 * j, 3 * j + 3) for j in range(6)]
+        assert probability == [slice(j, None, 4) for j in range(4)]
+        batch = np.empty((36, 2, 3))
+        assert all(batch[at].base is batch for at in finite + probability)
 
-    def test_other_groups_keep_a_call_of_their_own(self):
-        # stacked: one base instance under f and one instance as g, at unevenly spaced groups
-        g = ExpGenerator(1.0)
-        pairs = [(scale(g, 2.0), g), SHIFTED, (scale(g, 0.5), g), (affine(g, 2.0, 1.0), ExpGenerator(1.0)),
-                 (scale(ExpGenerator(1.0), 3.0), g), (affine(g, -1.0, 4.0), g)]
-        calls = list(suites._stacks(pairs))
-        assert [at for _, _, at in calls] == [[0, 2, 5], slice(1, 2, 1), slice(3, 4, 1), slice(4, 5, 1)]
-        assert [type(f) for f, _, _ in calls] == [suites._Stack, ExpGenerator, AffineGenerator, ScaledGenerator]
+    def test_a_second_suite_call_builds_no_wrapper(self, monkeypatch):
+        run_finite_measure_suite(seed=3, pairs_per_combo=1, h_per_pair=1)
+        run_probability_suite(seed=3, trials=1)
+        built = []
+        init = AffineGenerator.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(AffineGenerator, "__init__", counting)
+        run_finite_measure_suite(seed=3, pairs_per_combo=1, h_per_pair=1)
+        run_probability_suite(seed=3, trials=1)
+        assert built == []
+        scale(ExpGenerator(1.0), 2.0)
+        assert len(built) == 1
+
+    def test_groups_of_gives_each_group_its_own_call(self):
+        groups = groups_of(hand_built_cases())
+        assert [at for _, _, at in groups[1]] == [slice(i, i + 1) for i in range(4)]
+        assert [(f, g) for f, g, _ in groups[1]] == groups[0]
 
     def test_stacked_groups_give_the_per_case_rows(self):
         g = PowerGenerator(2.0)
         pairs = [(affine(g, a, b), g) for a, b in ((-2.0, -1.0), (3.0, 4.0), (0.5, 0.0))]
         rng = np.random.default_rng(5)
         cases = [(f, g, *case) for f, _ in pairs for case in random_cases(rng, g, (1.0,) * 3)]
-        groups = groups_of(cases)
-        assert len(list(suites._stacks(groups[0]))) == 1
-        result = _run_groups("stacked", 1e-8, *groups)
+        pairs, _, *batches = groups_of(cases)
+        result = _run_groups("stacked", 1e-8, pairs, [(suites._Stack([f for f, _ in pairs]), g, slice(0, 3))],
+                             *batches)
         rows, worst = per_case_rows("stacked", 1e-8, cases)
         assert bits(result.rows) == bits(rows)
         assert result.max_rel_residual.hex() == worst.hex()

@@ -179,6 +179,33 @@ class TestBlockSearch:
                 == block_witness_search(f, g, 1, 1, 1, 1, GEOMETRIC_21).to_json())
 
 
+class TestHypothesisBoundary:
+    """X = (2(1 - d), 2d) loses its set of intermediate measure as d -> 0, and the witnesses fade with d.
+
+    exp(1) and exp(2) commute on one atom (f o g^-1 is a power), so a block
+    search on Y = (1.1, 0.6) over 11 linear points on [-3, 3] finds a
+    largest residual that falls linearly in d near the boundary.
+    """
+
+    @staticmethod
+    def best_residual(d):
+        witness = block_witness_search(ExpGenerator(1.0), ExpGenerator(2.0), 2.0 * (1.0 - d), 2.0 * d, 1.1, 0.6,
+                                       GridSpec(11, (-3.0, 3.0), Spacing.LINEAR), threshold=1e-300)
+        assert witness.skipped_points == 0
+        return witness.report.rel_residual
+
+    def test_residual_is_linear_in_d_near_the_boundary(self):
+        # about 73 * d: 7.24e-3, 7.34e-4 and 7.36e-5
+        slopes = [self.best_residual(d) / d for d in (1e-4, 1e-5, 1e-6)]
+        mean = sum(slopes) / len(slopes)
+        assert all(abs(slope - mean) <= 0.05 * mean for slope in slopes)
+        assert 60.0 < mean < 90.0
+
+    @pytest.mark.parametrize("d", [0.5, 0.1, 0.01])
+    def test_intermediate_masses_give_a_clear_witness(self, d):
+        assert self.best_residual(d) > 0.1
+
+
 class TestFullSearch:
     def two_by_two_unit(self):
         return (DiscreteMeasureSpace([1.0, 1.0]), DiscreteMeasureSpace([1.0, 1.0]))
