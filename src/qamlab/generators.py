@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .measure_space import _check_counts, _json_floats
+from .measure_space import _check_counts, _json_floats, _known_keys
 from .residuals import DEFAULT_ZERO_TOL, _relative_residuals
 
 __all__ = [
@@ -298,42 +298,20 @@ def _into(result, out: np.ndarray | None = None):
     return out
 
 
-class _Ranges:
-    """Intervals on an array's leading axis, interval k testing index k; ``_masked`` takes it for an Interval.
-
-    It is the range of a stack of wrappers whose ranges differ (``suites._Stack``).
-    """
-
-    def __init__(self, intervals: list[Interval]):
-        self.intervals = intervals
-
-    def contains_all(self, x) -> bool:
-        return all(iv.contains_all(part) for iv, part in zip(self.intervals, x))
-
-    def contains(self, x) -> np.ndarray:
-        return np.stack([iv.contains(part) for iv, part in zip(self.intervals, x)])
-
-    def seeds(self, x) -> np.ndarray:
-        """Each interval's interior seed, shaped to broadcast along x's leading axis."""
-        return np.reshape([_interior_seed(iv) for iv in self.intervals], (-1,) + (1,) * (x.ndim - 1))
-
-
-def _masked(raw, valid: Interval | _Ranges, x: np.ndarray, out: np.ndarray | None = None,
+def _masked(raw, valid: Interval, x: np.ndarray, out: np.ndarray | None = None,
             extremes=None) -> np.ndarray:
     """``raw(x)``, or ``raw(x, out)``, with NaN where x is outside ``valid``.
 
     ``extremes``, x's NaN-propagating least and greatest element when the
     caller knows them, are range-tested in place of x.  Only the fallback
     for a partly invalid x builds a mask, and only it allocates when
-    ``out`` is given.  The fallback evaluates an interior seed of ``valid``
-    in place of each element outside it, one seed per interval of a
-    ``_Ranges``.
+    ``out`` is given.  The fallback evaluates the interior seed of
+    ``valid`` in place of each element outside it.
     """
     if valid.contains_all(x if extremes is None else extremes):
         return raw(x) if out is None else raw(x, out)
     ok = valid.contains(x)
-    seed = valid.seeds(x) if isinstance(valid, _Ranges) else _interior_seed(valid)
-    return _into(np.where(ok, raw(np.where(ok, x, seed)), np.nan), out)
+    return _into(np.where(ok, raw(np.where(ok, x, _interior_seed(valid))), np.nan), out)
 
 
 def masked_eval(gen: Generator, x: np.ndarray) -> np.ndarray:
@@ -576,6 +554,7 @@ class _Family(Generator):
     """A catalog family, ``{"family": family}`` in documents; this base has no parameter."""
 
     family: str
+    param: str | None = None    # the document key of its parameter, if it has one
 
     def describe(self) -> str:
         return self.family
@@ -858,7 +837,8 @@ def generator_from_json(doc: dict) -> Generator:
     Families: ``{"family": "exp", "k": 2.0}``, ``{"family": "power",
     "p": -1.0}``, ``{"family": "identity"}``, ``{"family": "log"}``.
     Optional wrappers ``"scale"`` and ``"affine": {"a": ..., "b": ...}``
-    are applied outermost-last, i.e. affine(scale(base)).
+    are applied outermost-last, i.e. affine(scale(base)).  Any other key,
+    in the document or in its affine object, is a ValueError that names it.
     """
     if not isinstance(doc, dict) or "family" not in doc:
         raise ValueError("generator document must be an object with a 'family' key")
@@ -866,6 +846,8 @@ def generator_from_json(doc: dict) -> Generator:
     cls = _FAMILIES.get(family) if isinstance(family, str) else None  # a list is no dict key
     if cls is None:
         raise ValueError(f"unknown generator family: {family!r}")
+    params = () if cls.param is None else (cls.param,)
+    _known_keys(doc, "generator document", "family", *params, "scale", "affine")
     gen = cls._from_json(doc)
     if "scale" in doc:
         gen = ScaledGenerator(_json_floats(doc["scale"], "scale"), gen)
@@ -873,6 +855,7 @@ def generator_from_json(doc: dict) -> Generator:
         aff = doc["affine"]
         if not isinstance(aff, dict) or "a" not in aff or "b" not in aff:
             raise ValueError("affine wrapper must be an object with 'a' and 'b'")
+        _known_keys(aff, "affine wrapper", "a", "b")
         gen = AffineGenerator(_json_floats(aff["a"], "affine a"), _json_floats(aff["b"], "affine b"),
                               gen)
     return gen

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import RangeError
 from .generators import REAL_LINE, Generator, masked_eval, masked_inverse, scale
-from .measure_space import DiscreteMeasureSpace, ProductGrid, _json_floats
+from .measure_space import DiscreteMeasureSpace, ProductGrid, _json_floats, _known_keys
 from .residuals import ResidualReport
 
 __all__ = [
@@ -96,6 +96,7 @@ class SimpleFunctionMatrix:
         """Build from ``{"values": [[...], ...]}`` (rows = X atoms)."""
         if not isinstance(doc, dict) or "values" not in doc:
             raise ValueError("h document must be an object with a 'values' key")
+        _known_keys(doc, "h document", "values")
         return cls(_json_floats(doc["values"], "values", True))
 
     def to_json(self) -> dict:

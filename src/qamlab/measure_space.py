@@ -37,6 +37,14 @@ def _json_floats(value, name: str, nested: bool = False):
     raise ValueError(f"{name} must {what} within the float range, got {text}")
 
 
+def _known_keys(doc: dict, name: str, *keys: str) -> None:
+    """Refuse, with a ValueError that names them, the keys of the document object ``doc`` outside ``keys``."""
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ValueError(f"{name} has unknown key(s) {', '.join(map(repr, unknown))}; "
+                         f"it allows {', '.join(map(repr, keys))}")
+
+
 def _check_counts(least: int | None = 0, /, **counts) -> list[int]:
     """The counts as ints, in order; a bool, a non-integer or a count below ``least`` raises a ValueError.
 
@@ -141,6 +149,7 @@ class DiscreteMeasureSpace:
         """Build from ``{"weights": [...], "labels": [...]}``; labels optional."""
         if not isinstance(doc, dict) or "weights" not in doc:
             raise ValueError("space document must be an object with a 'weights' key")
+        _known_keys(doc, "space document", "weights", "labels")
         labels = doc.get("labels")
         if labels is not None and not (isinstance(labels, list) and
                                        all(isinstance(lab, str) for lab in labels)):

@@ -137,6 +137,28 @@ class TestCheck:
         assert out.out == ""
         assert out.err == "input error: weights must be a non-empty one-dimensional sequence\n"
 
+    @pytest.mark.parametrize("option, doc, message", [
+        ("--f", {"family": "exp", "K": 2.0},
+         "generator document has unknown key(s) 'K'; it allows 'family', 'k', 'scale', 'affine'"),
+        ("--g", {"family": "exp", "k": 1.0, "scal": 3.0},
+         "generator document has unknown key(s) 'scal'; it allows 'family', 'k', 'scale', 'affine'"),
+        ("--f", {"family": "exp", "affine": {"a": 2, "b": 1, "c": 9}},
+         "affine wrapper has unknown key(s) 'c'; it allows 'a', 'b'"),
+        ("--space-y", {"weights": [1.0, 1.0], "label": ["a", "b"]},
+         "space document has unknown key(s) 'label'; it allows 'weights', 'labels'"),
+        ("--h", {"values": [[0.0, 0.0], [0.0, 0.0]], "h": 1},
+         "h document has unknown key(s) 'h'; it allows 'values'"),
+    ], ids=["generator-K", "generator-scal", "affine-c", "space-label", "h-h"])
+    def test_unknown_key_is_malformed_input(self, docs, capsys, option, doc, message):
+        args = {"--f": docs["exp1"], "--g": docs["exp2"], "--space-x": docs["unit2"],
+                "--space-y": docs["unit2"], "--h": docs["h"]}
+        args[option] = write(docs["tmp"] / "unknown-key.json", doc)
+        code = main(["check", *(part for item in args.items() for part in item)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err == f"input error: {message}\n"
+
     def test_csv_format(self, docs, capsys):
         code = run_check(docs, "double_exp1", "exp1", "h", "--format", "csv")
         assert code == 0

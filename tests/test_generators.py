@@ -1040,7 +1040,6 @@ class TestCatalogSurface:
          "3*2*exp(k=1)-1", {"family": "exp", "k": 1.0, "scale": 2.0, "affine": {"a": 3.0, "b": -1.0}},
          True, _R, Interval(-1.0, math.inf)),
         ({"family": "exp"}, "exp(k=1)", {"family": "exp", "k": 1.0}, True, _R, _POS),
-        ({"family": "identity", "k": 3}, "identity", {"family": "identity"}, True, _R, _R),
     ]
 
     @pytest.mark.parametrize("doc, text, back, increasing, domain, codomain", VALID,
@@ -1080,6 +1079,15 @@ class TestCatalogSurface:
          "affine b must be a JSON number within the float range, got False"),
         (lambda: generator_from_json({"family": "log", "affine": [2, 0]}), ValueError,
          "affine wrapper must be an object with 'a' and 'b'"),
+        # a key no reader takes is refused, not ignored
+        (lambda: generator_from_json({"family": "identity", "k": 3}), ValueError,
+         "generator document has unknown key(s) 'k'; it allows 'family', 'scale', 'affine'"),
+        (lambda: generator_from_json({"family": "exp", "K": 2.0}), ValueError,
+         "generator document has unknown key(s) 'K'; it allows 'family', 'k', 'scale', 'affine'"),
+        (lambda: generator_from_json({"family": "exp", "k": 1.0, "scal": 3.0, "p": 2}), ValueError,
+         "generator document has unknown key(s) 'scal', 'p'; it allows 'family', 'k', 'scale', 'affine'"),
+        (lambda: generator_from_json({"family": "power", "p": 2, "affine": {"a": 2, "b": 1, "c": 9}}),
+         ValueError, "affine wrapper has unknown key(s) 'c'; it allows 'a', 'b'"),
         (lambda: ExpGenerator(0), ValueError, "exp generator requires a finite nonzero rate k"),
         (lambda: PowerGenerator(math.nan), ValueError,
          "power generator requires a finite nonzero exponent p"),
@@ -1088,7 +1096,8 @@ class TestCatalogSurface:
     @pytest.mark.parametrize("build, exc, message", INVALID,
                              ids=["family-list", "family-null", "power-no-p", "exp-k-0", "exp-k-null",
                                   "exp-k-string", "exp-k-bool", "power-p-huge", "scale-string",
-                                  "affine-a-string", "affine-b-bool", "affine-list",
+                                  "affine-a-string", "affine-b-bool", "affine-list", "identity-k",
+                                  "exp-K", "exp-scal", "affine-c",
                                   "ExpGenerator(0)", "PowerGenerator(nan)"])
     def test_invalid_input(self, build, exc, message):
         with pytest.raises(exc) as info:

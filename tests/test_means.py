@@ -12,6 +12,7 @@ from qamlab import (
     PowerGenerator,
     ProductGrid,
     RangeError,
+    ResidualReport,
     SimpleFunctionMatrix,
     affine,
     commutation_residual,
@@ -270,6 +271,53 @@ class TestMixedMeans:
             lhs_mixed_mean(ExpGenerator(1.0), ExpGenerator(1.0), unit_square_grid(), h)
 
 
+class TestAffineClosedForm:
+    """Both sides of an affine pair f = a*g + b in closed form, on spaces of any total masses.
+
+    With S = sum_ij alpha_i beta_j g(h_ij) and total masses M_X and M_Y,
+    the lhs is g^-1(S + b (M_X - 1) / a) and the rhs is
+    g^-1(S + b (M_X - 1) M_Y / a): the pair commutes exactly when
+    b (M_X - 1)(M_Y - 1) = 0, on probability spaces among others.
+    """
+
+    @staticmethod
+    def random_space(rng):
+        """The weights of 2 or 3 atoms and their nominal total: 1, or uniform on [0.2, 5]."""
+        total = 1.0 if rng.random() < 0.3 else rng.uniform(0.2, 5.0)
+        weights = rng.uniform(0.5, 1.5, rng.integers(2, 4))
+        return weights * (total / weights.sum()), total
+
+    def test_sides_match_the_closed_form(self):
+        rng = np.random.default_rng(2016)
+        checked = skipped = 0
+        for g in (IdentityGenerator(), LogGenerator(), ExpGenerator(1.0), PowerGenerator(2.0)):
+            for a, b in [(a, b) for a in (-2.0, 0.5, 3.0) for b in (-1.0, 0.0, 4.0)]:
+                f = affine(g, a, b)
+                for _ in range(50):
+                    (wx, total_x), (wy, total_y) = self.random_space(rng), self.random_space(rng)
+                    h = random_in_domain(rng, g, (wx.size, wy.size))
+                    sides = [float(side) for side in mixed_means(f, g, wx, wy, h)]
+                    s = float(np.sum(np.outer(wx, wy) * g.eval(h)))
+                    shift = b * (wx.sum() - 1.0) / a
+                    args = [s + shift, s + shift * wy.sum()]
+                    outside = [not g.codomain.contains(arg) for arg in args]
+                    # no mean exists where the closed form has none
+                    assert all(math.isnan(side) for side, out in zip(sides, outside) if out)
+                    if any(outside) or any(math.isnan(side) for side in sides):
+                        skipped += 1
+                        continue
+                    checked += 1
+                    for side, arg in zip(sides, args):
+                        assert ResidualReport.from_sides(side, g.inverse(arg)).rel_residual <= 1e-12
+                    if b == 0.0 or total_x == 1.0 or total_y == 1.0:
+                        assert ResidualReport.from_sides(*sides).rel_residual <= 1e-12
+                    elif abs(total_x - 1.0) >= 0.1 and abs(total_y - 1.0) >= 0.1:
+                        # relative to the sides alone: the report's max(1, ...) floor makes its
+                        # residual absolute below 1, and the log base's sides can lie far below 1
+                        assert abs(sides[0] - sides[1]) > 1e-10 * max(map(abs, sides))
+        assert checked + skipped == 36 * 50 and skipped < 0.1 * checked
+
+
 class TestKernelErrorState:
     """The kernel ignores floating-point errors itself, under one ``np.errstate``.
 
@@ -387,8 +435,11 @@ class TestSimpleFunctionMatrix:
         ({"values": [[1.0, 2.0], [3.0]]}, "simple-function values must form a non-empty 2-D grid"),
         ({"values": [[1.0, 2.0], 3.0]}, "simple-function values must form a non-empty 2-D grid"),
         ({"values": [[[1.0]], [2.0]]}, "simple-function values must form a non-empty 2-D grid"),
+        # a key no reader takes is refused, not ignored
+        ({"values": [[1.0]], "weights": [1.0], "rows": 1},
+         "h document has unknown key(s) 'weights', 'rows'; it allows 'values'"),
     ], ids=["no-values", "not-an-object", "string", "bool", "huge-int", "ragged", "row-and-number",
-            "uneven-depth"])
+            "uneven-depth", "unknown-keys"])
     def test_malformed_json(self, doc, message):
         with pytest.raises(ValueError) as info:
             SimpleFunctionMatrix.from_json(doc)

@@ -155,7 +155,10 @@ class TestJson:
         ({"weights": None}, "weights must hold only JSON numbers within the float range, got None"),
         ({"weights": [1, 2], "labels": "ab"}, "labels must be a list of strings"),
         ({"weights": [1, 2], "labels": [1, True]}, "labels must be a list of strings"),
-    ], ids=["string", "bool", "huge-int", "null", "labels-string", "labels-not-strings"])
+        # a key no reader takes is refused, not ignored
+        ({"weights": [1, 2], "lables": ["a", "b"]},
+         "space document has unknown key(s) 'lables'; it allows 'weights', 'labels'"),
+    ], ids=["string", "bool", "huge-int", "null", "labels-string", "labels-not-strings", "unknown-key"])
     def test_wrong_json_types(self, doc, message):
         with pytest.raises(ValueError) as info:
             DiscreteMeasureSpace.from_json(doc)

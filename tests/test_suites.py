@@ -23,7 +23,7 @@ from qamlab import (
     scale,
 )
 from qamlab import suites
-from qamlab.generators import POSITIVE_HALF_LINE, REAL_LINE, _Ranges, masked_inverse
+from qamlab.generators import POSITIVE_HALF_LINE, REAL_LINE, masked_inverse
 from qamlab.means import mixed_means
 from qamlab.suites import (_MASSES, _TEXT, _TOTALS, _apply, _near_one, _pad, _read_pairs, _run_groups,
                            _value_law)
@@ -288,7 +288,6 @@ class TestStacks:
         # six ranges over nine groups: (b, inf) for a > 0, (-inf, b) for a < 0
         wrappers = [affine(g, a, b) for a in (-2.0, 0.5, 3.0) for b in (-1.0, 0.0, 4.0)] + [scale(g, 10.0)]
         stack = suites._Stack(wrappers)
-        assert isinstance(stack.codomain, _Ranges)
         rng = np.random.default_rng(34)
         batches = [padded_batch(random_cases(rng, g) + FAILING_INPUTS) for _ in wrappers]
         wx, wy, values = (np.stack(arrays) for arrays in zip(*batches))
@@ -303,28 +302,42 @@ class TestStacks:
         assert 0 < failed.sum() < failed.size
         assert len({tuple(row) for row in failed}) > 2
 
-    def test_one_shared_range_is_an_interval(self):
-        g = ExpGenerator(-1.0)
-        stack = suites._Stack([scale(g, c) for c in (0.5, 2.0, 10.0)])
-        assert type(stack.codomain) is Interval and stack.codomain == g.codomain
+    # the affine suite's nine wrappers of exp(1) and of power(2), and the proportional suite's scales of exp(-1)
+    STACKS = [[affine(g, a, b) for a in (-2.0, 0.5, 3.0) for b in (-1.0, 0.0, 4.0)]
+              for g in (ExpGenerator(1.0), PowerGenerator(2.0))] + \
+             [[scale(g, c) for c in (0.5, 2.0, 10.0)] for g in (ExpGenerator(-1.0),)]
+    # every wrapper's range ends at b = -1, 0 or 4: each end, its neighbours, and values inside
+    Y = [-1.0, 4.0, *(np.nextafter(b, side) for b in (-1.0, 4.0) for side in (-np.inf, np.inf)),
+         0.0, -0.0, np.inf, -np.inf, np.nan, -7.5, -0.3, 0.25, 1.5, 3.0, 9.0, 250.0]
 
-    def test_ranges_test_each_group_on_its_own_index(self):
-        ranges = _Ranges([Interval(0.0, math.inf), Interval(4.0, math.inf),
-                          Interval(-math.inf, -1.0, True, False)])
-        x = np.array([[3.0, 5.0], [5.0, 6.0], [-1.0, -2.0]])
-        assert ranges.contains_all(x) and ranges.contains(x).all()
-        # each value is inside the first group's range, or another group's, but not its own
-        for k, bad in ((0, 0.0), (1, 3.0), (2, -0.5)):
-            y = x.copy()
-            y[k, 1] = bad
-            assert not ranges.contains_all(y)
-            want = np.ones(y.shape, dtype=bool)
-            want[k, 1] = False
-            assert np.array_equal(ranges.contains(y), want)
-        assert np.array_equal(ranges.seeds(x[..., None]), [[[1.0]], [[5.0]], [[-2.0]]])
+    @pytest.mark.parametrize("wrappers", STACKS, ids=["affine-exp", "affine-power", "scale-exp"])
+    def test_stacked_inverse_range_tests_in_the_base_coordinates(self, wrappers):
+        # (y - b) / a is in the base's range exactly where y is in the wrapper's
+        y = np.tile(self.Y, (len(wrappers), 1))
+        got = masked_inverse(suites._Stack(wrappers), y)
+        want = np.stack([masked_inverse(f, y_k) for f, y_k in zip(wrappers, y)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert 0 < np.isnan(got).sum() < got.size
 
-    def test_fallback_seeds_each_group_inside_its_own_range(self):
-        # a seed outside a group's range would reach the regula falsi, which raises
+    @pytest.mark.parametrize("y", [[[0.5, 2.0], [3.0, 9.0]], [[0.5, -2.0], [np.nan, 9.0]]],
+                             ids=["inside", "partly-outside"])
+    def test_a_stacked_inverse_runs_one_range_test(self, monkeypatch, y):
+        calls = []
+        contains_all = Interval.contains_all
+
+        def counting(self, x):
+            calls.append(self)
+            return contains_all(self, x)
+
+        g = ExpGenerator(1.0)
+        stack = suites._Stack([scale(g, 2.0), affine(g, 3.0, -1.0)])
+        monkeypatch.setattr(Interval, "contains_all", counting)
+        masked_inverse(stack, np.array(y))
+        # the base's, in the base's coordinates; none on the sums
+        assert calls == [g.codomain]
+
+    def test_fallback_seeds_inside_the_base_range(self):
+        # a seed outside the base's range would reach the regula falsi, which raises
         g = _ExpNoClosedForm()
         wrappers = [affine(g, 1.0, 4.0), affine(g, -1.0, -1.0), affine(g, 2.0, 0.0)]
         y = np.array([[5.0, 3.0, 9.0, np.nan], [-2.0, 0.0, -7.0, -1.0], [1.0, -1.0, np.inf, 4.0]])
