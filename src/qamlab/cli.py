@@ -27,8 +27,7 @@ from .measure_space import DiscreteMeasureSpace, ProductGrid
 from .phi_reduction import run_diagnostics
 from .residuals import DEFAULT_ZERO_TOL
 from .suites import DEFAULT_SEED, run_finite_measure_suite, run_probability_suite
-from .witness_search import (DEFAULT_THRESHOLD, GridSpec, Spacing, block_witness_search,
-                             full_witness_search)
+from .witness_search import DEFAULT_THRESHOLD, GridSpec, block_witness_search, full_witness_search
 
 __all__ = ["main"]
 
@@ -89,7 +88,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, object]:
 def _cmd_witness(args: argparse.Namespace) -> tuple[int, object]:
     value_range = _parse_range(args.value_range)
     f, g, space_x, space_y = _inputs(args, "f", "g", "space_x", "space_y")
-    grid = GridSpec(args.grid, value_range, Spacing(args.spacing))
+    grid = GridSpec(args.grid, value_range, args.spacing)
     if len(space_x) == 2 and len(space_y) == 2:
         wx, wy = space_x.weights, space_y.weights
         witness = block_witness_search(

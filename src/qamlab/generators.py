@@ -146,9 +146,7 @@ class Interval:
 
     def sample_points(self, n: int = _SAMPLE_COUNT) -> np.ndarray:
         """Deterministic interior sample grid with n points."""
-        (n,) = _check_counts(None, n=n)
-        if n < 2:
-            raise ValueError("need at least 2 sample points")
+        (n,) = _check_counts(2, n=n)
         lo_inf = math.isinf(self.lower)
         hi_inf = math.isinf(self.upper)
         if not lo_inf and not hi_inf:
@@ -341,7 +339,8 @@ def _bisect_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
     at most one step more than bisection of the same bracket for any
     strictly monotone function, and one or two for exp(kx); each loop stops
     after ``_BISECT_MAX_ITER`` steps.  The walk does not depend on the
-    target, so each generator makes it once and keeps it.  Arrays of
+    target, so each generator makes it once and keeps it; a target that no
+    piece of the whole walk straddles is ``_walk``'s RangeError.  Arrays of
     ``_BISECT_ARRAY_MIN`` elements or more run ``_bisect_array``, one
     masked loop whose fixed cost per call is about fifty elements' worth
     of the per-element routine; smaller ones run ``_bisect_elements``.
@@ -358,15 +357,16 @@ def _bisect_inverse(gen: Generator, y: np.ndarray) -> np.ndarray:
     return flat.reshape(y.shape) if y.ndim else flat[0]
 
 
-def _walk(gen: Generator, need: int = 0):
-    """``gen``'s bracket walk, cached on it: ``(lift, pieces, more)``.
+def _walk(gen: Generator, need: int = 0, target: float | None = None):
+    """``gen``'s bracket walk, cached on it: ``(lift, pieces)``, more than ``need`` pieces while it lasts.
 
-    ``pieces`` holds more than ``need`` pieces, or all of them when ``more``
-    is None.  Each piece is a flat tuple of Python floats ``(low, high, lo,
-    hi, f(lo), f(hi), width, lift(f(lo)), lift(f(hi)))``: its value bounds
+    Each piece is a flat tuple of Python floats ``(low, high, lo, hi,
+    f(lo), f(hi), width, lift(f(lo)), lift(f(hi)))``: its value bounds
     min/max(f(lo), f(hi)), its ends and their values, the width of the
     bracket it came from, and its lifted end values, where ``lift`` is
-    ``np.log`` for a (0, inf) codomain and ``float`` otherwise.
+    ``np.log`` for a (0, inf) codomain and ``float`` otherwise.  A call
+    that needs more pieces than an ended walk holds is the fallback
+    inverse's end, raised here alone: no piece straddles ``target``.
 
     The brackets start at the interior seed, and each end moves outward:
     halfway to a finite domain end, by a doubling step toward an infinite
@@ -376,13 +376,19 @@ def _walk(gen: Generator, need: int = 0):
     straddles a target lies in the first bracket that does, and both its
     ends are evaluated already.  The sequence does not depend on the
     target, so it is walked once per generator, a bracket at a time as
-    targets need it, and kept with the state it continues from (``more``).
-    Each extension is published as a new tuple: threads that extend at
-    once compute the same pieces, and the walk any of them keeps is right.
+    targets need it, and kept as ``(lift, pieces, more)``, ``more`` the
+    state it continues from or None at its end.  Each extension is
+    published as a new tuple: threads that extend at once compute the same
+    pieces, and the walk any of them keeps is right.
     """
     walk = gen._walk_cache
-    if walk is not None and (len(walk[1]) > need or walk[2] is None):
-        return walk
+    if walk is not None:
+        lift, pieces, more = walk
+        if len(pieces) > need:
+            return lift, pieces
+        if more is None:
+            raise RangeError(f"could not bracket {target} in the range of {gen.describe()}")
+        pieces, (lo, hi, flo, fhi, lflo, lfhi, step, left) = list(pieces), more
     raw, dom, f64 = gen._eval_raw, gen.domain, np.float64
     if walk is None:
         lift = np.log if gen.codomain_kind is CodomainKind.POSITIVE_REALS else float
@@ -391,8 +397,6 @@ def _walk(gen: Generator, need: int = 0):
         lflo = lfhi = float(lift(f64(flo)))
         pieces = [(flo, fhi, lo, hi, flo, fhi, 0.0, lflo, lfhi)]
         step, left = 1.0, _BISECT_MAX_ITER - 1
-    else:
-        lift, pieces, (lo, hi, flo, fhi, lflo, lfhi, step, left) = walk[0], list(walk[1]), walk[2]
     while len(pieces) <= need and left:
         nlo = 0.5 * (lo + dom.lower) if math.isfinite(dom.lower) else lo - step
         nhi = 0.5 * (hi + dom.upper) if math.isfinite(dom.upper) else hi + step
@@ -402,23 +406,21 @@ def _walk(gen: Generator, need: int = 0):
         pieces.append((min(nflo, flo), max(nflo, flo), nlo, lo, nflo, flo, nhi - nlo, nlflo, lflo))
         pieces.append((min(fhi, nfhi), max(fhi, nfhi), hi, nhi, fhi, nfhi, nhi - nlo, lfhi, nlfhi))
         lo, hi, flo, fhi, lflo, lfhi, left = nlo, nhi, nflo, nfhi, nlflo, nlfhi, left - 1
-    walk = lift, tuple(pieces), (lo, hi, flo, fhi, lflo, lfhi, step, left) if left else None
-    gen._walk_cache = walk
-    return walk
+    pieces = tuple(pieces)
+    gen._walk_cache = lift, pieces, (lo, hi, flo, fhi, lflo, lfhi, step, left) if left else None
+    return lift, pieces
 
 
 def _bisect_elements(gen: Generator, ys: list[float]) -> list[float]:
     """The inverse of each value, from the first piece of the walk that straddles it."""
-    lift, pieces, more = _walk(gen)
+    lift, pieces = _walk(gen)
     raw, out = gen._eval_raw, []
     for y in ys:
         i = 0
         while not (pieces[i][0] <= y <= pieces[i][1]):
             i += 1
             if i == len(pieces):
-                if more is None:
-                    raise RangeError(f"could not bracket {y} in the range of {gen.describe()}")
-                lift, pieces, more = _walk(gen, i)
+                lift, pieces = _walk(gen, i, y)
         out.append(_falsi_scalar(raw, lift, y, pieces[i]))
     return out
 
@@ -491,16 +493,13 @@ def _bisect_array(gen: Generator, y: np.ndarray) -> np.ndarray:
     float64, and leaves the loop at the midpoint where it returns, so the
     results are the same bit for bit.
     """
-    lift, pieces, more = _walk(gen)
+    lift, pieces = _walk(gen)
     start = np.empty(y.size, dtype=np.intp)
     pending = np.arange(y.size)
     i = 0
     while pending.size:
         if i == len(pieces):
-            if more is None:
-                raise RangeError(
-                    f"could not bracket {float(y[pending[0]])} in the range of {gen.describe()}")
-            lift, pieces, more = _walk(gen, i)
+            lift, pieces = _walk(gen, i, float(y[pending[0]]))
         ys = y[pending]
         inside = (pieces[i][0] <= ys) & (ys <= pieces[i][1])
         start[pending[inside]] = i

@@ -45,10 +45,11 @@ def _known_keys(doc: dict, name: str, *keys: str) -> None:
                          f"it allows {', '.join(map(repr, keys))}")
 
 
-def _check_counts(least: int | None = 0, /, **counts) -> list[int]:
+def _check_counts(least: int = 0, /, **counts) -> list[int]:
     """The counts as ints, in order; a bool, a non-integer or a count below ``least`` raises a ValueError.
 
-    With ``least`` None every integer is taken, for callers that word their own bound.
+    Every count, the suites' seed too, is refused here in one wording: "n must
+    be an integer of at least 2, got 1", or "seed must be a non-negative count, got -1".
     """
     checked = []
     for name, count in counts.items():
@@ -56,9 +57,8 @@ def _check_counts(least: int | None = 0, /, **counts) -> list[int]:
             value = operator.index(count)
         except TypeError:
             value = None
-        if value is None or isinstance(count, bool) or (least is not None and value < least):
-            what = "an integer" if least is None else \
-                "a non-negative count" if least == 0 else f"an integer of at least {least}"
+        if value is None or isinstance(count, bool) or value < least:
+            what = "a non-negative count" if least == 0 else f"an integer of at least {least}"
             raise ValueError(f"{name} must be {what}, got {count}")
         checked.append(value)
     return checked

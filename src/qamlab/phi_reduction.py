@@ -281,9 +281,7 @@ def phi_origin_limit(
     Strictly decreasing, and decaying toward zero for admissible pairs;
     returned for inspection rather than asserted here.
     """
-    (n_max,) = _check_counts(None, n_max=n_max)
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    (n_max,) = _check_counts(2, n_max=n_max)
     ns = np.arange(1, n_max + 1, dtype=float)
     return np.asarray(big_phi(f, g, alpha1, alpha2, 1.0 / ns, 1.0 / ns))
 

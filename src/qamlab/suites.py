@@ -356,7 +356,8 @@ def run_finite_measure_suite(
     factors c in {0.5, 2, 10}, random non-degenerate space pairs with
     total masses in [0.2, 5] away from 1, several random h per pair.
     """
-    pairs_per_combo, h_per_pair = _check_counts(pairs_per_combo=pairs_per_combo, h_per_pair=h_per_pair)
+    seed, pairs_per_combo, h_per_pair = _check_counts(
+        seed=seed, pairs_per_combo=pairs_per_combo, h_per_pair=h_per_pair)
     gen_pairs, calls = _catalog(True)
     groups = _draw_groups(np.random.default_rng(seed), [g.domain for _, g in gen_pairs],
                           pairs_per_combo, h_per_pair, True)
@@ -374,7 +375,7 @@ def run_probability_suite(
     identity, log, exp(1), power(2); at least ``trials`` random cases
     spread evenly over the combinations.
     """
-    (trials,) = _check_counts(trials=trials)
+    seed, trials = _check_counts(seed=seed, trials=trials)
     gen_pairs, calls = _catalog(False)
     per_combo = -(-trials // len(gen_pairs))  # ceil division
     # one function per space pair: its (1, m, n) draw takes the stream's (m, n) draw

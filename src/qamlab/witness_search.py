@@ -102,13 +102,14 @@ class Spacing(Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A one-dimensional value grid for search coordinates."""
+    """A one-dimensional value grid for search coordinates; ``spacing`` a ``Spacing`` or its value."""
 
     points_per_axis: int
     value_range: tuple[float, float]
     spacing: Spacing = Spacing.GEOMETRIC
 
     def __post_init__(self):
+        object.__setattr__(self, "spacing", Spacing(self.spacing))
         lo, hi = self.value_range
         _check_counts(2, points_per_axis=self.points_per_axis)
         if not (REAL_LINE.contains_all((lo, hi)) and lo < hi):

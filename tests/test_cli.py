@@ -180,6 +180,26 @@ class TestCheck:
         assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+# a defect of the max(1, |lhs|, |rhs|) normalisation that ROADMAP item 5 names; the
+# test asserts the right answer, so the change that mends it must make it pass and drop this mark
+_SUB_UNIT_FLOOR_DEFECT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 5: below 1 the relative residual is absolute, so tiny sides pass")
+
+
+class TestSubUnitResidualDefects:
+    @_SUB_UNIT_FLOOR_DEFECT
+    def test_sides_600_times_apart_fail_the_check(self, docs, capsys):
+        # f = 0.5 log - 1 against g = log: lhs 3.35e-24 and rhs 2.02e-21, yet rel_residual 2.0e-21
+        f = write(docs["tmp"] / "half_log.json", {"family": "log", "scale": 0.5, "affine": {"a": 1.0, "b": -1.0}})
+        g = write(docs["tmp"] / "log.json", {"family": "log"})
+        x = write(docs["tmp"] / "x.json", {"weights": [2.5, 2.5]})
+        h = write(docs["tmp"] / "h_tiny.json", {"values": [[1e-20, 1e-20], [1e-20, 1e-20]]})
+        code = main(["check", "--f", f, "--g", g, "--space-x", x, "--space-y", docs["tiny2"], "--h", h])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rhs"] > 600 * doc["lhs"] > 0.0
+        assert code == 1
+
+
 class TestWitness:
     def test_non_proportional_pair_found(self, docs, capsys):
         code = main(
@@ -282,6 +302,12 @@ class TestSuiteAndPhi:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert str(out) in err and not out.exists()
+
+    def test_a_negative_seed_is_malformed_input(self, capsys):
+        # numpy's own refusal, "expected non-negative integer", named no field
+        assert main(["suite", "--seed", "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "input error: seed must be a non-negative count, got -1\n"
 
     def test_phi_report(self, docs, capsys):
         code = main(["phi", "--f", docs["exp1"], "--g", docs["exp2"]])

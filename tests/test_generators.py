@@ -441,8 +441,8 @@ class TestBracketWalkCache:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # extended a bracket, then several at once, then far enough to overflow exp
             for need in (0, 1, 2, 9, 60):
-                lift, pieces, more = _walk(gen, need)
-                assert len(pieces) > need and more is not None
+                lift, pieces = _walk(gen, need)
+                assert len(pieces) > need and gen._walk_cache[2] is not None
                 want = _reference_walk(gen, len(pieces))
                 positive = gen.codomain_kind is CodomainKind.POSITIVE_REALS
                 assert lift is (np.log if positive else float)
@@ -452,6 +452,13 @@ class TestBracketWalkCache:
                               float(lifted(flo)), float(lifted(fhi)))
                     assert all(type(v) is float for v in piece)
                     assert np.array_equal(_bits(piece), _bits(expect))
+
+    def test_a_warm_call_copies_nothing(self):
+        gen = _bisect_exp(1.5)
+        _, pieces = _walk(gen, 4)
+        walk = gen._walk_cache
+        for need in range(len(pieces)):
+            assert _walk(gen, need)[1] is pieces and gen._walk_cache is walk
 
     @pytest.mark.parametrize("path", [_per_element, _array_loop], ids=["per-element", "array"])
     @pytest.mark.parametrize("k", [1.5, -2.0])
@@ -1123,20 +1130,20 @@ class TestInterval:
     def test_sample_points_need_two(self):
         with pytest.raises(ValueError) as info:
             Interval(0.0, 1.0).sample_points(1)
-        assert str(info.value) == "need at least 2 sample points"
+        assert str(info.value) == "n must be an integer of at least 2, got 1"
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_sample_points_keep_their_message_below_two(self, n):
         with pytest.raises(ValueError) as info:
             Interval(0.0, 1.0).sample_points(n)
-        assert str(info.value) == "need at least 2 sample points"
+        assert str(info.value) == f"n must be an integer of at least 2, got {n}"
 
     @pytest.mark.parametrize("n", [2.5, 17.0, True, "17", None])
     def test_sample_points_refuse_a_non_integer_count(self, n):
         # 2.5 failed inside numpy with a TypeError
         with pytest.raises(ValueError) as info:
             Interval(0.0, 1.0).sample_points(n)
-        assert str(info.value) == f"n must be an integer, got {n}"
+        assert str(info.value) == f"n must be an integer of at least 2, got {n}"
 
     def test_sample_points_take_a_numpy_integer(self):
         iv = Interval(0.0, math.inf)

@@ -410,6 +410,60 @@ class TestScaleInvariance:
                     assert report.rel_residual <= 1e-10
 
 
+# the proportional suite's six bases, by name
+_BASES = {g.describe(): g for g in (ExpGenerator(-1.0), ExpGenerator(1.0), ExpGenerator(2.0),
+                                    PowerGenerator(-1.0), PowerGenerator(0.5), PowerGenerator(2.0))}
+_ORDERED_PAIRS = [(f, g) for f in _BASES for g in _BASES if f != g]
+
+
+def _mass_map(gen, mass, c):
+    """gen^-1(mass * gen(c)) in closed form: c + log(mass)/k for exp(kx), mass**(1/p)*c for x**p; NaN off the domain."""
+    if isinstance(gen, ExpGenerator):
+        return c + math.log(mass) / gen.k
+    return mass ** (1.0 / gen.p) * c if c > 0.0 else math.nan
+
+
+class TestOrderZeroLaw:
+    """The mixed means of a constant h = c: lhs = T_f(S_g(c)) and rhs = S_g(T_f(c)).
+
+    T_f(c) = f^-1(M_X f(c)) and S_g(c) = g^-1(M_Y g(c)), with M_X and M_Y the
+    total masses, so a pair commutes on constants iff T_f and S_g commute:
+    two exp or two power generators do, an exp and a power generator do not.
+    """
+
+    WX, WY = (0.7, 1.3), (1.1, 0.6)
+    C = (0.1, 0.5, 1.0, 2.0, 5.0)
+
+    def sides(self, f, g):
+        return mixed_means(_BASES[f], _BASES[g], self.WX, self.WY, np.multiply.outer(self.C, np.ones((2, 2))))
+
+    @pytest.mark.parametrize("f, g", _ORDERED_PAIRS)
+    def test_sides_are_the_closed_forms(self, f, g):
+        # a side whose inner mean leaves the outer generator's domain (c - log 2 < 0 for exp(-x)) is NaN
+        mx, my = sum(self.WX), sum(self.WY)
+        for c, lhs, rhs in zip(self.C, *self.sides(f, g)):
+            expect = (_mass_map(_BASES[f], mx, _mass_map(_BASES[g], my, c)),
+                      _mass_map(_BASES[g], my, _mass_map(_BASES[f], mx, c)))
+            for got, want in zip((lhs, rhs), expect):
+                if math.isnan(want):
+                    assert math.isnan(got)
+                else:
+                    assert abs(got - want) <= 2e-15 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("f, g", _ORDERED_PAIRS)
+    def test_only_pairs_of_one_family_commute_on_constants(self, f, g):
+        lhs, rhs = self.sides(f, g)
+        rel = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        if type(_BASES[f]) is type(_BASES[g]):
+            assert np.all(rel <= 1e-15)
+        else:
+            assert np.nanmax(rel) > 0.1
+
+    def test_exp_against_power_at_a_small_constant(self):
+        lhs, rhs = self.sides("exp(k=1)", "power(p=2)")
+        assert abs(lhs[0] - rhs[0]) / max(1.0, abs(lhs[0]), abs(rhs[0])) == pytest.approx(0.2037, abs=5e-5)
+
+
 class TestSimpleFunctionMatrix:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):

@@ -306,13 +306,13 @@ class TestMonotonicityAndLimit:
         f, g = SQRT_PAIR
         with pytest.raises(ValueError) as info:
             phi_origin_limit(f, g, 1.0, 1.0, 1)
-        assert str(info.value) == "n_max must be at least 2"
+        assert str(info.value) == "n_max must be an integer of at least 2, got 1"
 
     @pytest.mark.parametrize("n_max", [0, -3])
     def test_origin_limit_keeps_its_message_below_two(self, n_max):
         with pytest.raises(ValueError) as info:
             phi_origin_limit(*SQRT_PAIR, 1.0, 1.0, n_max)
-        assert str(info.value) == "n_max must be at least 2"
+        assert str(info.value) == f"n_max must be an integer of at least 2, got {n_max}"
 
     @pytest.mark.parametrize("n_max", [2.5, 3.0, True, "3", None])
     def test_origin_limit_refuses_a_non_integer_count(self, monkeypatch, n_max):
@@ -320,7 +320,7 @@ class TestMonotonicityAndLimit:
         monkeypatch.setattr("qamlab.phi_reduction.big_phi", None)
         with pytest.raises(ValueError) as info:
             phi_origin_limit(*SQRT_PAIR, 1.0, 1.0, n_max)
-        assert str(info.value) == f"n_max must be an integer, got {n_max}"
+        assert str(info.value) == f"n_max must be an integer of at least 2, got {n_max}"
 
     def test_origin_limit_takes_a_numpy_integer(self):
         assert np.array_equal(phi_origin_limit(*SQRT_PAIR, 1.0, 1.0, np.int64(4)),

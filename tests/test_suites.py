@@ -645,6 +645,20 @@ class TestNegativeCounts:
         with pytest.raises(ValueError, match=f"^{name} must be a non-negative count, got {count}$"):
             suite(seed=1, **kwargs)
 
+    @pytest.mark.parametrize("suite", [run_finite_measure_suite, run_probability_suite])
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+    def test_a_seed_that_is_not_a_count_is_refused_before_any_draw(self, monkeypatch, suite, seed):
+        # -1 was numpy's "expected non-negative integer", which names no field; True ran as seed 1
+        monkeypatch.setattr(suites, "_read_pairs", lambda *args: pytest.fail("drew a space pair"))
+        with pytest.raises(ValueError) as info:
+            suite(seed=seed)
+        assert str(info.value) == f"seed must be a non-negative count, got {seed}"
+
+    @pytest.mark.parametrize("suite, kwargs", [(run_finite_measure_suite, {"pairs_per_combo": 2, "h_per_pair": 2}),
+                                               (run_probability_suite, {"trials": 72})])
+    def test_a_numpy_integer_seed_draws_the_stream_of_its_int(self, suite, kwargs):
+        assert suite(seed=np.uint16(9), **kwargs).rows == suite(seed=9, **kwargs).rows
+
     def test_numpy_integer_counts_are_counts(self):
         assert run_finite_measure_suite(seed=1, pairs_per_combo=np.int64(1), h_per_pair=np.uint8(2)).n_cases == 36
         assert run_probability_suite(seed=1, trials=np.int32(36)).n_cases == 36

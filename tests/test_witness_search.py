@@ -57,6 +57,23 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(5, (-1.0, 1.0), Spacing.GEOMETRIC)
 
+    @pytest.mark.parametrize("spacing", list(Spacing))
+    def test_a_spacing_value_is_its_member(self, spacing):
+        # "geometric" was not Spacing.GEOMETRIC, so it gave the linear grid
+        grid = GridSpec(5, (0.1, 10.0), spacing.value)
+        assert grid.spacing is spacing and grid == GridSpec(5, (0.1, 10.0), spacing)
+        assert np.array_equal(grid.points(), GridSpec(5, (0.1, 10.0), spacing).points())
+
+    def test_an_unknown_spacing_is_refused(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid Spacing"):
+            GridSpec(5, (0.1, 10.0), "bogus")
+
+    @pytest.mark.parametrize("lo", [-1.0, 0.0])
+    def test_a_geometric_value_needs_a_positive_range(self, lo):
+        with pytest.raises(ValueError) as info:
+            GridSpec(5, (lo, 10.0), "geometric")
+        assert str(info.value) == "geometric spacing needs a strictly positive range"
+
     @pytest.mark.parametrize("points", [3.0, True, np.True_, "5", 1, -2])
     def test_points_must_be_an_integer_of_at_least_two(self, points):
         with pytest.raises(ValueError, match=f"^points_per_axis must be an integer of at least 2, got {points}$"):
